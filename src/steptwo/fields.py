@@ -11,7 +11,6 @@ rapidly decaying integrands used throughout.
 import json
 import struct
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -51,6 +50,23 @@ class Axis:
                 "not contain the origin as a lattice point"
             )
         return zi
+
+
+def lattice_points(coords):
+    """Points of the tensor-product lattice of 1-D coordinate arrays.
+
+    Row-major over the arrays in order (the last varies fastest), shape
+    (prod of lengths, number of arrays).
+    """
+    return np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(
+        -1, len(coords)
+    )
+
+
+def _mesh(axes):
+    """All grid points of the axes, shape (*counts, ndim)."""
+    shape = tuple(a.count for a in axes) + (len(axes),)
+    return lattice_points([a.points() for a in axes]).reshape(shape)
 
 
 def symmetric_axis(radius, count):
@@ -97,10 +113,10 @@ class SampledField:
 
     def mesh(self):
         """All grid points, shape (*counts, ndim)."""
-        return np.stack(np.meshgrid(*self.grids(), indexing="ij"), axis=-1)
+        return _mesh(self.axes)
 
     def flat_points(self):
-        return self.mesh().reshape(-1, self.ndim)
+        return lattice_points(self.grids())
 
     def integrate(self):
         return complex(self.values.sum() * self.cell_volume)
@@ -115,10 +131,7 @@ class SampledField:
     def from_function(cls, axes, fn, group=None, tau=None):
         """Sample fn on the grid; fn maps an (..., ndim) array to values."""
         axes = tuple(axes)
-        pts = np.stack(
-            np.meshgrid(*[a.points() for a in axes], indexing="ij"), axis=-1
-        )
-        vals = np.asarray(fn(pts), dtype=complex)
+        vals = np.asarray(fn(_mesh(axes)), dtype=complex)
         return cls(axes=axes, values=vals, group=group, tau=tau)
 
     def with_values(self, values):
@@ -193,6 +206,16 @@ def _check_shared_grid(f, g):
         for a, b in zip(f.axes, g.axes)
     ):
         raise GridError("fields must share the same grid")
+
+
+def _group_axes(f, group):
+    """Horizontal and central axes of a field sampled over the group."""
+    m, r = group.m, group.r
+    if f.ndim != m + r:
+        raise GridError(
+            f"fields must have {m + r} axes for this group, got {f.ndim}"
+        )
+    return f.axes[:m], f.axes[m:]
 
 
 def _apply_kernel(vals, kernel, ax):
@@ -273,22 +296,16 @@ def _twisted_engine(f, g, M, out_stride=1, batch=128):
     steps = np.array([a.step for a in f.axes])
     los = np.array([a.lo for a in f.axes])
 
-    grid_idx = np.stack(
-        np.meshgrid(*[np.arange(c) for c in counts], indexing="ij"), axis=-1
-    ).reshape(-1, d)
+    grid_idx = lattice_points([np.arange(c) for c in counts])
     x_pts = los + grid_idx * steps
     gw = g.values.reshape(-1) * f.cell_volume
     f_flat = f.values.reshape(-1)
 
     out_axes, starts = _strided_axes(f.axes, out_stride)
     out_counts = tuple(a.count for a in out_axes)
-    out_idx = np.stack(
-        np.meshgrid(
-            *[s + out_stride * np.arange(c) for s, c in zip(starts, out_counts)],
-            indexing="ij",
-        ),
-        axis=-1,
-    ).reshape(-1, d)
+    out_idx = lattice_points(
+        [s + out_stride * np.arange(c) for s, c in zip(starts, out_counts)]
+    )
 
     twoM = 2.0 * np.asarray(M, dtype=float)
     out = np.empty(out_idx.shape[0], dtype=complex)
@@ -310,7 +327,8 @@ def twisted_convolve(f, g, group, tau, out_stride=1):
     """Twisted convolution of two fields over R^(2n) at frequency tau.
 
     Direct quadrature of the defining oscillatory integral on the shared
-    grid; this is the slow oracle path.  tau = 0 reduces to the Euclidean
+    grid, O(N^2) in the number N of grid points; this is the path behind
+    ``convolve --path direct``.  tau = 0 reduces to the Euclidean
     convolution.  ``out_stride`` > 1 evaluates on a strided subgrid (which
     still contains the origin).
     """
@@ -397,12 +415,8 @@ def group_convolve(phi, psi, group, out_points=None, interp_order=8, x_chunk=64)
         grid, which is implemented for r = 1.
     """
     _check_shared_grid(phi, psi)
-    m, r = group.m, group.r
-    if phi.ndim != m + r:
-        raise GridError(
-            f"fields must have {m + r} axes for this group, got {phi.ndim}"
-        )
-    y_axes, t_axes = phi.axes[:m], phi.axes[m:]
+    r = group.r
+    y_axes, t_axes = _group_axes(phi, group)
     y_counts = np.array([a.count for a in y_axes])
     t_counts = tuple(a.count for a in t_axes)
     y_zero = np.array([a.zero_index for a in y_axes])
@@ -410,12 +424,8 @@ def group_convolve(phi, psi, group, out_points=None, interp_order=8, x_chunk=64)
     t_zero = np.array([a.zero_index for a in t_axes])
     t_los = np.array([a.lo for a in t_axes])
 
-    y_idx = np.stack(
-        np.meshgrid(*[np.arange(c) for c in y_counts], indexing="ij"), axis=-1
-    ).reshape(-1, m)
-    y_pts = np.array([a.lo for a in y_axes]) + y_idx * np.array(
-        [a.step for a in y_axes]
-    )
+    y_idx = lattice_points([np.arange(c) for c in y_counts])
+    y_pts = lattice_points([a.points() for a in y_axes])
     n_x = y_idx.shape[0]
     phi_xt = phi.values.reshape((n_x,) + t_counts)
     psi_xt = psi.values.reshape((n_x,) + t_counts)
@@ -528,15 +538,23 @@ def dual_axis_points(a, offset=0.0):
     )
 
 
+def _ft_matrix(a, offset=0.0):
+    """Trapezoid-rule Fourier transform of one axis, (dual node, grid point)."""
+    return np.exp(-1j * np.outer(dual_axis_points(a, offset), a.points())) * a.step
+
+
+def _inverse_ft_weight(axes):
+    """Dual-lattice cell volume over (2 pi)^d: the inverse transform's weight."""
+    dual_vol = float(np.prod([2.0 * np.pi / (a.count * a.step) for a in axes]))
+    return dual_vol / (2.0 * np.pi) ** len(axes)
+
+
 def euclidean_ft(f, offsets=None):
     """Continuous Fourier transform sampled on the (offset) dual lattice."""
     offsets = offsets or [0.0] * f.ndim
     vals = f.values.astype(complex)
     for ax, (a, off) in enumerate(zip(f.axes, offsets)):
-        kernel = (
-            np.exp(-1j * np.outer(dual_axis_points(a, off), a.points())) * a.step
-        )
-        vals = _apply_kernel(vals, kernel, ax)
+        vals = _apply_kernel(vals, _ft_matrix(a, off), ax)
     return vals
 
 
@@ -559,12 +577,8 @@ def group_convolve_fourier(phi, psi, group):
     horizontal transform, so no frequency interpolation occurs.
     """
     _check_shared_grid(phi, psi)
-    m, r = group.m, group.r
-    if phi.ndim != m + r:
-        raise GridError(
-            f"fields must have {m + r} axes for this group, got {phi.ndim}"
-        )
-    y_axes, t_axes = phi.axes[:m], phi.axes[m:]
+    m = group.m
+    y_axes, t_axes = _group_axes(phi, group)
     y_shape = tuple(a.count for a in y_axes)
     n_y = int(np.prod(y_shape))
     n_t = int(np.prod([a.count for a in t_axes]))
@@ -574,30 +588,15 @@ def group_convolve_fourier(phi, psi, group):
     # phi transformed along the central axes only, still sampled in x
     phi_half = phi.values.astype(complex)
     for off, a in enumerate(t_axes):
-        kernel = np.exp(-1j * np.outer(dual_axis_points(a), a.points())) * a.step
-        phi_half = _apply_kernel(phi_half, kernel, m + off)
+        phi_half = _apply_kernel(phi_half, _ft_matrix(a), m + off)
     phi_half = phi_half.reshape(n_y, n_t)
 
-    y_pts = np.stack(
-        np.meshgrid(*[a.points() for a in y_axes], indexing="ij"), axis=-1
-    ).reshape(-1, m)
-    xi_pts = np.stack(
-        np.meshgrid(*[dual_axis_points(a) for a in y_axes], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, m)
-    tau_pts = np.stack(
-        np.meshgrid(*[dual_axis_points(a) for a in t_axes], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, r)
-    t_pts = np.stack(
-        np.meshgrid(*[a.points() for a in t_axes], indexing="ij"), axis=-1
-    ).reshape(-1, r)
-    x_kernels = [
-        np.exp(-1j * np.outer(dual_axis_points(a), a.points())) * a.step
-        for a in y_axes
-    ]
+    y_pts = lattice_points([a.points() for a in y_axes])
+    xi_pts = lattice_points([dual_axis_points(a) for a in y_axes])
+    tau_pts = lattice_points([dual_axis_points(a) for a in t_axes])
+    t_pts = lattice_points([a.points() for a in t_axes])
+    x_kernels = [_ft_matrix(a) for a in y_axes]
 
-    dual_vol = float(np.prod([2.0 * np.pi / (a.count * a.step) for a in phi.axes]))
     out = np.empty((n_y, n_t), dtype=complex)
     for iy, y in enumerate(y_pts):
         byx = np.einsum("bkl,k,xl->xb", group.B, y, y_pts)  # B(y, x) per lattice x
@@ -612,7 +611,7 @@ def group_convolve_fourier(phi, psi, group):
                 "x,x,x->", phase_y, cube.reshape(-1), psi_hat[:, itau]
             )
         out[iy] = np.einsum("tq,q->t", np.exp(1j * (t_pts @ tau_pts.T)), acc_tau)
-    out *= dual_vol / (2.0 * np.pi) ** phi.ndim
+    out *= _inverse_ft_weight(phi.axes)
     return SampledField(
         axes=phi.axes, values=out.reshape(phi.values.shape), group=group
     )
@@ -635,26 +634,19 @@ def abel_multiplier(frame, R, xi_hat):
     return np.prod(2.0 / (1.0 + R) * np.exp(expo), axis=-1)
 
 
-def abel_approx_identity(f, group, R, terms=None):
+def abel_approx_identity(f, group, R):
     """Abel-summed approximate identity applied to a sampled field.
 
     For R in (0,1), evaluates the Abel sum of the reproducing series in
-    closed multiplier form on the Euclidean Fourier side (``terms=None``);
-    with ``terms=K`` it instead accumulates the explicit partial sum of
-    convolutions with the radial basis distributions of total degree <= K
-    (slow cross-check path).  As R -> 1- the output converges to f.
+    closed multiplier form on the Euclidean Fourier side.  As R -> 1- the
+    output converges to f.
     """
     from .spectral import normalize
 
     if not 0.0 < R < 1.0:
         raise DimensionError(f"Abel parameter must be in (0,1), got {R}")
     m, r = group.m, group.r
-    if f.ndim != m + r:
-        raise GridError(f"field must have {m + r} axes, got {f.ndim}")
-    if terms is not None:
-        return _abel_direct(f, group, R, terms)
-
-    y_axes, t_axes = f.axes[:m], f.axes[m:]
+    y_axes, t_axes = _group_axes(f, group)
     y_shape = tuple(a.count for a in y_axes)
     t_shape = tuple(a.count for a in t_axes)
     n_y, n_t = int(np.prod(y_shape)), int(np.prod(t_shape))
@@ -663,20 +655,10 @@ def abel_approx_identity(f, group, R, terms=None):
     offsets = [0.0] * m + [0.5] * r
     f_hat = euclidean_ft(f, offsets).reshape(n_y, n_t)
 
-    xi_pts = np.stack(
-        np.meshgrid(*[dual_axis_points(a) for a in y_axes], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, m)
-    tau_pts = np.stack(
-        np.meshgrid(*[dual_axis_points(a, 0.5) for a in t_axes], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, r)
-    y_pts = np.stack(
-        np.meshgrid(*[a.points() for a in y_axes], indexing="ij"), axis=-1
-    ).reshape(-1, m)
-    t_pts = np.stack(
-        np.meshgrid(*[a.points() for a in t_axes], indexing="ij"), axis=-1
-    ).reshape(-1, r)
+    xi_pts = lattice_points([dual_axis_points(a) for a in y_axes])
+    tau_pts = lattice_points([dual_axis_points(a, 0.5) for a in t_axes])
+    y_pts = lattice_points([a.points() for a in y_axes])
+    t_pts = lattice_points([a.points() for a in t_axes])
 
     phase_yx = np.exp(1j * (y_pts @ xi_pts.T))
     partial = np.zeros((n_y, tau_pts.shape[0]), dtype=complex)
@@ -689,54 +671,9 @@ def abel_approx_identity(f, group, R, terms=None):
         xi_hat = (xi_pts[None, :, :] + shift[:, None, :]) @ frame.O
         mult = abel_multiplier(frame, R, xi_hat)
         partial[:, itau] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, itau])
-    dual_vol = float(np.prod([2.0 * np.pi / (a.count * a.step) for a in f.axes]))
     phase_t = np.exp(1j * (t_pts @ tau_pts.T))
-    out = np.einsum("yq,tq->yt", partial, phase_t) * (
-        dual_vol / (2.0 * np.pi) ** f.ndim
-    )
+    out = np.einsum("yq,tq->yt", partial, phase_t) * _inverse_ft_weight(f.axes)
     return SampledField(
         axes=f.axes, values=out.reshape(y_shape + t_shape), group=group
     )
 
-
-def _abel_direct(f, group, R, terms):
-    """Partial-sum path: twisted convolutions accumulated on the dual lattice."""
-    from .laguerre import exp_laguerre, raw_index
-    from .spectral import normalize
-
-    m, r, n = group.m, group.r, group.n
-    y_axes, t_axes = f.axes[:m], f.axes[m:]
-    y_shape = tuple(a.count for a in y_axes)
-    t_shape = tuple(a.count for a in t_axes)
-    n_y, n_t = int(np.prod(y_shape)), int(np.prod(t_shape))
-    tau_pts = np.stack(
-        np.meshgrid(*[dual_axis_points(a, 0.5) for a in t_axes], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, r)
-    t_pts = np.stack(
-        np.meshgrid(*[a.points() for a in t_axes], indexing="ij"), axis=-1
-    ).reshape(-1, r)
-
-    partial = np.zeros((n_y, tau_pts.shape[0]), dtype=complex)
-    for itau, tau in enumerate(tau_pts):
-        frame = normalize(group, tau)
-        f_tau = partial_fourier(f, tau)
-        mesh = f_tau.mesh()
-        acc = np.zeros(y_shape, dtype=complex)
-        for k in iproduct(range(terms + 1), repeat=n):
-            if sum(k) > terms:
-                continue
-            basis = f_tau.with_values(
-                exp_laguerre(frame, raw_index(k, (0,) * n), mesh)
-            )
-            conv, _ = _twisted_engine(f_tau, basis, group.b_tau(tau))
-            acc += (R ** sum(k)) * conv
-        partial[:, itau] = acc.reshape(-1)
-    dual_vol_t = float(np.prod([2.0 * np.pi / (a.count * a.step) for a in t_axes]))
-    phase_t = np.exp(1j * (t_pts @ tau_pts.T))
-    out = np.einsum("yq,tq->yt", partial, phase_t) * (
-        dual_vol_t / (2.0 * np.pi) ** r
-    )
-    return SampledField(
-        axes=f.axes, values=out.reshape(y_shape + t_shape), group=group
-    )

@@ -15,8 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTauError, DimensionError, QuadratureError
-from .quadrature import sphere_rule, x_coth, x_over_sinh
-from .spectral import normalize
+from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
+from .spectral import (
+    DEGENERACY_RTOL,
+    _degenerate,
+    _negative_eigenpairs,
+    normalize,
+)
 
 # ---------------------------------------------------------------------------
 # the sub-Laplacian's diagonal symbol
@@ -103,23 +108,20 @@ class QuadResult:
         return complex(self.value)
 
 
-def _sphere_spectra(group, pts, tol=1e-8):
+def _sphere_spectra(group, pts):
     """Eigenvalue magnitudes and plane energies of y for unit frequencies.
 
     Batched over the sphere nodes; the energy of y in the j-th invariant
     plane is 2 |v_j^* y|^2 for a unit complex eigenvector v_j, so no frame
     assembly or phase convention is needed here.
     """
-    n = group.n
-    forms = np.einsum("sb,bkl->skl", pts, group.B)
-    w, V = np.linalg.eigh(1j * forms)
-    mu = -w[:, :n]  # descending positive magnitudes
-    if np.any(mu[:, -1] <= tol * mu[:, 0]):
-        bad = pts[mu[:, -1] <= tol * mu[:, 0]][0]
+    mu, V = _negative_eigenpairs(np.einsum("sb,bkl->skl", pts, group.B))
+    bad = pts[_degenerate(mu, DEGENERACY_RTOL).any(axis=1)]
+    if bad.size:
         raise DegenerateTauError(
-            f"skew form degenerates on the sphere near tau = {bad.tolist()}"
+            f"skew form degenerates on the sphere near tau = {bad[0].tolist()}"
         )
-    return mu, V[:, :, :n]
+    return mu, V
 
 
 def _fs_quadrature(group, y, t, radial, sphere_level, abel=None):
@@ -132,12 +134,7 @@ def _fs_quadrature(group, y, t, radial, sphere_level, abel=None):
     ts = pts @ t
 
     # per-node radial rule, compactified against the node's decay rate
-    u, gl_w = np.polynomial.legendre.leggauss(radial)
-    u = 0.5 * (u + 1.0)
-    gl_w = 0.5 * gl_w
-    scale = (2.0 / np.sum(mu, axis=1))[:, None]
-    rho = scale * np.log((1.0 + u) / (1.0 - u))[None, :]
-    rw = scale * (gl_w * 2.0 / (1.0 - u**2))[None, :]
+    rho, rw = radial_nodes(radial, np.sum(mu, axis=1))
 
     arg = rho[:, :, None] * mu[:, None, :]  # (sphere, radial, n)
     if abel is None:
@@ -185,13 +182,7 @@ def fundamental_solution(
         Internal verification mode: evaluate the Abel-regularized family
         instead of its limit.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if y.size != group.m or t.size != group.r:
-        raise DimensionError(
-            f"point must have shapes ({group.m},), ({group.r},), got "
-            f"({y.size},), ({t.size},)"
-        )
+    y, t = group.point(y, t)
     if not np.any(y):
         raise DimensionError(
             "fundamental_solution requires y != 0 (the y = 0 slice needs "
@@ -231,14 +222,8 @@ def horizontal_laplacian_residual(group, points, h=1e-2, fn=None, **quad):
                 fundamental_solution(group, yy, tt, **quad).value
             )
 
-    def field_dir(k, yy):
-        d = np.zeros(group.m + group.r)
-        d[k] = 1.0
-        d[group.m:] = 2.0 * np.einsum("bl,l->b", group.B[:, :, k], yy)
-        return d
-
     def y_deriv(k, yy, tt, g):
-        d = field_dir(k, yy)
+        d = group.vector_field_coefficients(k, group.point(yy, tt))
         stepy, stept = h * d[: group.m], h * d[group.m :]
         return (g(yy + stepy, tt + stept) - g(yy - stepy, tt - stept)) / (2 * h)
 

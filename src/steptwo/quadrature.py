@@ -38,15 +38,12 @@ def sphere_rule(r, level):
         n_azi = 2 * level
         angles = 2.0 * np.pi * np.arange(n_azi) / n_azi
         sines = np.sqrt(np.clip(1.0 - cosines**2, 0.0, None))
-        pts = np.empty((level * n_azi, 3))
-        wts = np.empty(level * n_azi)
-        for i in range(level):
-            block = slice(i * n_azi, (i + 1) * n_azi)
-            pts[block, 0] = sines[i] * np.cos(angles)
-            pts[block, 1] = sines[i] * np.sin(angles)
-            pts[block, 2] = cosines[i]
-            wts[block] = cw[i] * 2.0 * np.pi / n_azi
-        return pts, wts
+        pts = np.empty((level, n_azi, 3))
+        pts[..., 0] = np.outer(sines, np.cos(angles))
+        pts[..., 1] = np.outer(sines, np.sin(angles))
+        pts[..., 2] = cosines[:, None]
+        wts = np.repeat(cw * 2.0 * np.pi / n_azi, n_azi)
+        return pts.reshape(-1, 3), wts
     raise DimensionError(f"no sphere rule for r = {r}")
 
 
@@ -54,15 +51,16 @@ def radial_nodes(count, scale=1.0):
     """Nodes/weights for integral_0^inf f(rho) d(rho) with decay rate ~scale.
 
     Returns (rho, w) such that sum w_i f(rho_i) approximates the integral
-    for f smooth with f = O(exp(-scale * rho)).
+    for f smooth with f = O(exp(-scale * rho)).  An array of scales gives
+    one rule per entry: rho and w then have shape scale.shape + (count,).
     """
-    if scale <= 0:
+    scale = np.asarray(scale, dtype=float)
+    if np.any(scale <= 0):
         raise DimensionError(f"radial decay scale must be positive, got {scale}")
-    a = 2.0 / scale
+    a = (2.0 / scale)[..., None]
     u, w = gauss_legendre(count, 0.0, 1.0)
     rho = a * np.log((1.0 + u) / (1.0 - u))
-    jac = a * 2.0 / (1.0 - u**2)
-    return rho, w * jac
+    return rho, a * (w * 2.0 / (1.0 - u**2))
 
 
 def x_over_sinh(x):

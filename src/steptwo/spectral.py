@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousMatchingError, DegenerateTauError, DimensionError
+from .groups import _as_readonly
 
 # Eigenvalue magnitudes below DEGENERACY_RTOL * ||B_tau||_2 count as degenerate.
 DEGENERACY_RTOL = 1e-8
@@ -79,6 +80,14 @@ class TauFrame:
         """The block-diagonal matrix J this frame reduces the skew form to."""
         return _normal_form(self.mu)
 
+    def residuals(self, M):
+        """Max-norm residuals of O^T M O = J and of O^T O = I."""
+        O = self.O
+        return (
+            float(np.abs(O.T @ M @ O - self.normal_form()).max()),
+            float(np.abs(O.T @ O - np.eye(O.shape[0])).max()),
+        )
+
 
 def _normal_form(mu):
     n = mu.size
@@ -87,12 +96,6 @@ def _normal_form(mu):
         J[2 * j, 2 * j + 1] = -m
         J[2 * j + 1, 2 * j] = m
     return J
-
-
-def _readonly(a):
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def _cluster(values, tol):
@@ -118,14 +121,40 @@ def _min_gap(mu, tol):
 def _negative_eigenpairs(M):
     """Eigenpairs of the Hermitian matrix iM on its negative side.
 
+    ``M`` is one skew matrix or a stack of them, shape (..., 2n, 2n).
     Returns (mu, V) with mu descending positive and V's columns the complex
     eigenvectors of M with eigenvalues +i*mu_j.
     """
-    H = 1j * M
-    w, V = np.linalg.eigh(H)
-    n = M.shape[0] // 2
+    w, V = np.linalg.eigh(1j * M)
+    n = M.shape[-1] // 2
     # ascending order puts -mu_1 <= ... <= -mu_n first, so mu comes out descending
-    return -w[:n], V[:, :n]
+    return -w[..., :n], V[..., :n]
+
+
+def _degenerate(mu, tol):
+    """Mask of the magnitudes below tol * mu_1 (all of them when mu_1 = 0)."""
+    scale = mu[..., :1]
+    return (mu < tol * scale) | (scale == 0.0)
+
+
+def _checked_spectrum(group, tau, tol):
+    """B_tau at a nonzero tau with its eigenpairs and cluster tolerance.
+
+    Raises DegenerateTauError when some mu_j falls below tol * mu_1.
+    """
+    tau = np.asarray(tau, dtype=float).reshape(-1)
+    if not np.any(tau):
+        raise DimensionError("the tau-frame requires tau != 0")
+    M = group.b_tau(tau)
+    mu, V = _negative_eigenpairs(M)
+    bad = np.nonzero(_degenerate(mu, tol))[0]
+    if bad.size:
+        raise DegenerateTauError(
+            f"skew form at tau={tau.tolist()} is numerically degenerate "
+            f"(mu={mu.tolist()})",
+            indices=bad.tolist(),
+        )
+    return tau, M, mu, V, tol * mu[0]
 
 
 def _fix_phase(v):
@@ -165,24 +194,23 @@ def _deterministic_eigenbasis(mu, V, tol):
     return out
 
 
-def _frame_from_eigenvectors(tau, mu, V, degeneracy_tol):
-    """Assemble the orthogonal frame from complex eigenvectors and verify it."""
+def _assemble_frame(tau, M, mu, V, gap_tol):
+    """Orthogonal frame from complex eigenvectors, checked against B_tau."""
     n = mu.size
     O = np.empty((2 * n, 2 * n))
-    for j in range(n):
-        v = _fix_phase(V[:, j])
-        O[:, 2 * j] = np.sqrt(2.0) * v.imag
-        O[:, 2 * j + 1] = np.sqrt(2.0) * v.real
+    O[:, 0::2] = np.sqrt(2.0) * V.imag
+    O[:, 1::2] = np.sqrt(2.0) * V.real
     frame = TauFrame(
-        tau=_readonly(np.asarray(tau, dtype=float)),
-        mu=_readonly(np.asarray(mu, dtype=float)),
-        O=_readonly(O),
-        min_gap=_min_gap(mu, degeneracy_tol),
+        tau=_as_readonly(tau),
+        mu=_as_readonly(mu),
+        O=_as_readonly(O),
+        min_gap=_min_gap(mu, gap_tol),
     )
-    ortho = np.abs(O.T @ O - np.eye(2 * n)).max()
-    if ortho > FRAME_TOL:
+    resid, ortho = frame.residuals(M)
+    if max(resid, ortho) > FRAME_TOL:
         raise DegenerateTauError(
-            f"frame failed orthogonality check: residual {ortho:.3e}"
+            f"frame failed its checks: normal-form residual {resid:.3e}, "
+            f"orthogonality residual {ortho:.3e}"
         )
     return frame
 
@@ -204,28 +232,10 @@ def normalize(group, tau, tol=DEGENERACY_RTOL):
     TauFrame
         With mu sorted descending and ||O^T B_tau O - J||_max <= 1e-10.
     """
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if not np.any(tau):
-        raise DimensionError("normalize requires tau != 0")
-    M = group.b_tau(tau)
-    mu, V = _negative_eigenpairs(M)
-    scale = mu[0] if mu.size else 0.0
-    bad = np.nonzero(mu < tol * scale)[0]
-    if scale == 0.0 or bad.size:
-        raise DegenerateTauError(
-            f"skew form at tau={tau.tolist()} is numerically degenerate "
-            f"(mu={mu.tolist()})",
-            indices=bad.tolist(),
-        )
-    gap_tol = tol * scale
+    tau, M, mu, V, gap_tol = _checked_spectrum(group, tau, tol)
     V = _deterministic_eigenbasis(mu, V, gap_tol)
-    frame = _frame_from_eigenvectors(tau, mu, V, gap_tol)
-    resid = np.abs(frame.O.T @ M @ frame.O - frame.normal_form()).max()
-    if resid > FRAME_TOL:
-        raise DegenerateTauError(
-            f"frame failed normal-form check: residual {resid:.3e}"
-        )
-    return frame
+    V = np.column_stack([_fix_phase(V[:, j]) for j in range(mu.size)])
+    return _assemble_frame(tau, M, mu, V, gap_tol)
 
 
 def continue_frame(prev, group, tau_new, tol=DEGENERACY_RTOL):
@@ -237,19 +247,7 @@ def continue_frame(prev, group, tau_new, tol=DEGENERACY_RTOL):
     eigenspace holds most of a projected column pair (an eigenvalue
     crossing between the two frequencies).
     """
-    tau_new = np.asarray(tau_new, dtype=float).reshape(-1)
-    if not np.any(tau_new):
-        raise DimensionError("continue_frame requires tau != 0")
-    M = group.b_tau(tau_new)
-    mu, V = _negative_eigenpairs(M)
-    scale = mu[0] if mu.size else 0.0
-    bad = np.nonzero(mu < tol * scale)[0]
-    if scale == 0.0 or bad.size:
-        raise DegenerateTauError(
-            f"skew form at tau={tau_new.tolist()} is numerically degenerate",
-            indices=bad.tolist(),
-        )
-    gap_tol = tol * scale
+    tau_new, M, mu, V, gap_tol = _checked_spectrum(group, tau_new, tol)
     clusters = _cluster(mu, gap_tol)
 
     n = prev.n
@@ -304,29 +302,8 @@ def continue_frame(prev, group, tau_new, tol=DEGENERACY_RTOL):
         raise AmbiguousMatchingError(
             "matched eigenvalues are out of order (crossing between frames)"
         )
-    frame = _frame_from_eigenvectors_continuous(tau_new, mu_new, V_new, gap_tol)
-    resid = np.abs(frame.O.T @ M @ frame.O - frame.normal_form()).max()
-    if resid > FRAME_TOL:
-        raise DegenerateTauError(
-            f"continued frame failed normal-form check: residual {resid:.3e}"
-        )
-    return frame
-
-
-def _frame_from_eigenvectors_continuous(tau, mu, V, gap_tol):
-    # same assembly as the fresh path but without the phase convention,
-    # which would fight the continuity choice
-    n = mu.size
-    O = np.empty((2 * n, 2 * n))
-    for j in range(n):
-        O[:, 2 * j] = np.sqrt(2.0) * V[:, j].imag
-        O[:, 2 * j + 1] = np.sqrt(2.0) * V[:, j].real
-    return TauFrame(
-        tau=_readonly(np.asarray(tau, dtype=float)),
-        mu=_readonly(np.asarray(mu, dtype=float)),
-        O=_readonly(O),
-        min_gap=_min_gap(mu, gap_tol),
-    )
+    # no phase convention here: it would fight the continuity choice
+    return _assemble_frame(tau_new, M, mu_new, V_new, gap_tol)
 
 
 @dataclass(frozen=True)
@@ -377,8 +354,8 @@ def degeneracy_scan(group, samples, tol=DEGENERACY_RTOL):
         gap = _min_gap(mu, gap_tol)
         rows.append(
             ScanRow(
-                tau=_readonly(tau),
-                mu=_readonly(mu),
+                tau=_as_readonly(tau),
+                mu=_as_readonly(mu),
                 min_gap=gap,
                 pattern=pattern,
                 flagged=bool(gap < gap_tol),

@@ -1,11 +1,13 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
-from math import comb
+from itertools import product
 
 import numpy as np
 import pytest
 
 import steptwo as st
+from steptwo.fields import dual_axis_points, lattice_points
+from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
 
 
 @pytest.fixture
@@ -30,20 +32,43 @@ def random_skew_group(rng, n=None, r=None):
     return st.make_group(n, r, B - np.transpose(B, (0, 2, 1)))
 
 
-def laguerre_series_oracle(kmax, p, sigma):
-    """Taylor coefficients of (1-z)^(-p-1) exp(-sigma z / (1-z)).
+def abel_partial_sum(f, group, R, terms):
+    """Partial sum of the Abel-summed reproducing series (slow oracle).
 
-    Independent of the recurrence: composes the exponential of the power
-    series -sigma(z + z^2 + ...) with binomial coefficients.
+    At each node tau of the half-offset central dual lattice, accumulates
+    R^|k| times the twisted convolution of the partial Fourier transform of
+    f with the radial basis distribution of index k, over total degree
+    |k| <= terms; the inverse central transform then returns to the group.
     """
-    w = np.zeros(kmax + 1)
-    w[1:] = -sigma
-    E = np.zeros(kmax + 1)
-    E[0] = 1.0
-    for m in range(1, kmax + 1):
-        E[m] = sum(j * w[j] * E[m - j] for j in range(1, m + 1)) / m
-    binom = np.array([comb(p + k, k) for k in range(kmax + 1)], dtype=float)
-    return np.convolve(E, binom)[: kmax + 1]
+    m, r, n = group.m, group.r, group.n
+    y_axes, t_axes = f.axes[:m], f.axes[m:]
+    y_shape = tuple(a.count for a in y_axes)
+    t_shape = tuple(a.count for a in t_axes)
+    tau_pts = lattice_points([dual_axis_points(a, 0.5) for a in t_axes])
+    t_pts = lattice_points([a.points() for a in t_axes])
+
+    partial = np.zeros((int(np.prod(y_shape)), tau_pts.shape[0]), dtype=complex)
+    for itau, tau in enumerate(tau_pts):
+        frame = st.normalize(group, tau)
+        f_tau = st.partial_fourier(f, tau)
+        mesh = f_tau.mesh()
+        acc = np.zeros(y_shape, dtype=complex)
+        for k in product(range(terms + 1), repeat=n):
+            if sum(k) > terms:
+                continue
+            basis = f_tau.with_values(
+                st.exp_laguerre(frame, st.raw_index(k, (0,) * n), mesh)
+            )
+            acc += (R ** sum(k)) * st.twisted_convolve(f_tau, basis, group, tau).values
+        partial[:, itau] = acc.reshape(-1)
+    dual_vol_t = float(np.prod([2.0 * np.pi / (a.count * a.step) for a in t_axes]))
+    phase_t = np.exp(1j * (t_pts @ tau_pts.T))
+    out = np.einsum("yq,tq->yt", partial, phase_t) * (
+        dual_vol_t / (2.0 * np.pi) ** r
+    )
+    return st.SampledField(
+        axes=f.axes, values=out.reshape(y_shape + t_shape), group=group
+    )
 
 
 def fd_directional(fn, pts, direction, h):

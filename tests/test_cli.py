@@ -101,6 +101,13 @@ def test_fundamental_point(capsys):
     assert data["value_re"] == pytest.approx(1.0, abs=1e-8)
     assert abs(data["value_im"]) < 1e-12
     assert data["est_error"] < 1e-9 and data["nodes_used"] > 0
+    # a value starting with "-digit" is a value, not an unknown option
+    code, out, _ = run_cli(
+        ["fundamental", "--group", "preset:heisenberg-1", "--point", "-0.5,0.2,0.1"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["point"] == [-0.5, 0.2, 0.1]
 
 
 def test_fundamental_bad_point(capsys):
@@ -126,6 +133,11 @@ def test_szego_point(capsys):
     np.testing.assert_allclose(
         data["matrix_re"], expected * np.eye(2), atol=1e-10
     )
+    code, out, _ = run_cli(
+        ["szego", "--k", "1", "--y", "-0.5,0.2,0.1,0.3", "--s", "0,0,0"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["y"] == [-0.5, 0.2, 0.1, 0.3]
 
 
 def test_convolve_twisted_paths(tmp_path, capsys):
@@ -222,6 +234,11 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+    # an unknown option stays a usage error, also with a negative value
+    for extra in (["--bogus"], ["--bogus", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,0", *extra])
+        assert exc.value.code == 2
 
 
 def test_selftest_smoke(capsys):

@@ -46,6 +46,16 @@ def test_radial_nodes_exponential_decay():
     assert w @ (np.exp(-rho) * rho**2) == pytest.approx(2.0, rel=1e-6)
     with pytest.raises(st.DimensionError):
         radial_nodes(10, scale=0.0)
+    # an array of scales gives the per-scale rules, bit for bit
+    scales = np.array([[0.5, 1.0], [3.0, 7.25]])
+    rho, w = radial_nodes(40, scale=scales)
+    assert rho.shape == w.shape == (2, 2, 40)
+    for idx in np.ndindex(scales.shape):
+        rho1, w1 = radial_nodes(40, scale=scales[idx])
+        np.testing.assert_array_equal(rho[idx], rho1)
+        np.testing.assert_array_equal(w[idx], w1)
+    with pytest.raises(st.DimensionError):
+        radial_nodes(10, scale=np.array([1.0, -2.0]))
 
 
 def test_hyperbolic_helpers_match_series_and_direct():

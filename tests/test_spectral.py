@@ -36,6 +36,8 @@ def test_random_reconstruction(rng):
 def test_zero_tau_rejected(h1):
     with pytest.raises(st.DimensionError):
         st.normalize(h1, [0.0])
+    with pytest.raises(st.DimensionError):
+        st.continue_frame(st.normalize(h1, [1.0]), h1, [0.0])
 
 
 def test_degenerate_form_detected():
@@ -47,6 +49,13 @@ def test_degenerate_form_detected():
     with pytest.raises(st.DegenerateTauError) as err:
         st.normalize(g, [1.0])
     assert 1 in err.value.indices
+    prev = st.normalize(st.heisenberg(2), [1.0])
+    with pytest.raises(st.DegenerateTauError) as err:
+        st.continue_frame(prev, g, [1.0])
+    assert 1 in err.value.indices
+    # the kernels' batched sphere spectra apply the same test
+    with pytest.raises(st.DegenerateTauError):
+        st.fundamental_solution(g, [1.0, 0.0, 0.0, 0.0], [0.0])
 
 
 def test_mu_homogeneity(rng):
