@@ -24,7 +24,6 @@ from .fields import (
     group_convolve,
     group_convolve_fourier,
     partial_fourier,
-    shifted_horizontal_frequency,
     symmetric_axis,
     twisted_convolve,
     twisted_convolve_1d,

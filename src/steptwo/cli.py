@@ -2,7 +2,8 @@
 
 One subcommand per public operation family.  Domain errors exit with
 status 1 and a message naming the violated precondition; usage errors
-exit with status 2 (argparse's convention).  All output is deterministic
+exit with status 2 (argparse's convention); a reader that closes stdout
+early ends the run quietly with status 1.  All output is deterministic
 for a fixed command line and seed, independent of the thread count.
 """
 
@@ -435,7 +436,16 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): end quietly, with
+        # stdout pointed at devnull so the interpreter's final flush
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

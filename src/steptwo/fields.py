@@ -549,69 +549,54 @@ def _inverse_ft_weight(axes):
     return dual_vol / (2.0 * np.pi) ** len(axes)
 
 
-def euclidean_ft(f, offsets=None):
-    """Continuous Fourier transform sampled on the (offset) dual lattice."""
-    offsets = offsets or [0.0] * f.ndim
-    vals = f.values.astype(complex)
-    for ax, (a, off) in enumerate(zip(f.axes, offsets)):
-        vals = _apply_kernel(vals, _ft_matrix(a, off), ax)
+def _ft_axes(vals, axes, first=0, offset=0.0):
+    """Transform ``vals`` along consecutive axes starting at ``first``."""
+    vals = vals.astype(complex)
+    for i, a in enumerate(axes):
+        vals = _apply_kernel(vals, _ft_matrix(a, offset), first + i)
     return vals
 
 
-def shifted_horizontal_frequency(group, tau, y, xi):
-    """Shifted frequency argument of the Fourier-side convolution formula.
+def euclidean_ft(f):
+    """Continuous Fourier transform sampled on the dual lattice."""
+    return _ft_axes(f.values, f.axes)
 
-    Componentwise xi_l - 2 sum_{k,beta} B^beta_{kl} y_k tau_beta; linear in
-    y, equal to xi at y = 0.
+
+def _inverse_central_ft(partial, t_axes, tau_pts):
+    """Inverse central transform of horizontal slices, one per dual node.
+
+    Column q of ``partial`` (n_y, n_tau) is the flattened slice at the
+    central frequency tau_pts[q]; the result has shape (n_y, n_t).
     """
-    M = group.b_tau(np.asarray(tau, dtype=float))
-    return np.asarray(xi, dtype=float) - 2.0 * (M.T @ np.asarray(y, dtype=float))
+    t_pts = lattice_points([a.points() for a in t_axes])
+    phase_t = np.exp(1j * (t_pts @ tau_pts.T))
+    return np.einsum("yq,tq->yt", partial, phase_t) * _inverse_ft_weight(t_axes)
 
 
 def group_convolve_fourier(phi, psi, group):
-    """Group convolution through Euclidean Fourier transforms.
+    """Group convolution through the central Fourier transform.
 
-    Cross-check path against the direct quadrature: pairs the transform of
-    psi with the transform of phi taken at the shifted horizontal
-    frequency; the shift is realized exactly by modulating phi before its
-    horizontal transform, so no frequency interpolation occurs.
+    The central transform turns group convolution into twisted convolution
+    at each frequency: both fields are transformed along the central axes
+    once, ``twisted_convolve`` pairs their horizontal slices at every node
+    of the central dual lattice, and the inverse central transform returns
+    to the group.  The central sum is periodic over the window.
     """
     _check_shared_grid(phi, psi)
-    m = group.m
     y_axes, t_axes = _group_axes(phi, group)
-    y_shape = tuple(a.count for a in y_axes)
-    n_y = int(np.prod(y_shape))
-    n_t = int(np.prod([a.count for a in t_axes]))
-
-    psi_hat = euclidean_ft(psi).reshape(n_y, n_t)
-
-    # phi transformed along the central axes only, still sampled in x
-    phi_half = phi.values.astype(complex)
-    for off, a in enumerate(t_axes):
-        phi_half = _apply_kernel(phi_half, _ft_matrix(a), m + off)
-    phi_half = phi_half.reshape(n_y, n_t)
-
-    y_pts = lattice_points([a.points() for a in y_axes])
-    xi_pts = lattice_points([dual_axis_points(a) for a in y_axes])
+    y_shape = phi.values.shape[: group.m]
+    phi_hat, psi_hat = (
+        _ft_axes(f.values, t_axes, group.m).reshape(y_shape + (-1,))
+        for f in (phi, psi)
+    )
     tau_pts = lattice_points([dual_axis_points(a) for a in t_axes])
-    t_pts = lattice_points([a.points() for a in t_axes])
-    x_kernels = [_ft_matrix(a) for a in y_axes]
-
-    out = np.empty((n_y, n_t), dtype=complex)
-    for iy, y in enumerate(y_pts):
-        byx = np.einsum("bkl,k,xl->xb", group.B, y, y_pts)  # B(y, x) per lattice x
-        phase_y = np.exp(1j * (xi_pts @ y))
-        acc_tau = np.empty(tau_pts.shape[0], dtype=complex)
-        for itau, tau in enumerate(tau_pts):
-            # modulation turns the frequency shift into an exact transform
-            cube = (phi_half[:, itau] * np.exp(2j * (byx @ tau))).reshape(y_shape)
-            for ax in range(m):
-                cube = _apply_kernel(cube, x_kernels[ax], ax)
-            acc_tau[itau] = np.einsum(
-                "x,x,x->", phase_y, cube.reshape(-1), psi_hat[:, itau]
-            )
-        out[iy] = np.einsum("tq,q->t", np.exp(1j * (t_pts @ tau_pts.T)), acc_tau)
-    out *= _inverse_ft_weight(phi.axes)
+    partial = np.empty((int(np.prod(y_shape)), len(tau_pts)), dtype=complex)
+    for q, tau in enumerate(tau_pts):
+        f, g = (
+            SampledField(axes=y_axes, values=h[..., q]) for h in (phi_hat, psi_hat)
+        )
+        partial[:, q] = twisted_convolve(f, g, group, tau).values.reshape(-1)
+    out = _inverse_central_ft(partial, t_axes, tau_pts)
     return SampledField(
         axes=phi.axes, values=out.reshape(phi.values.shape), group=group
     )
@@ -645,35 +630,28 @@ def abel_approx_identity(f, group, R):
 
     if not 0.0 < R < 1.0:
         raise DimensionError(f"Abel parameter must be in (0,1), got {R}")
-    m, r = group.m, group.r
     y_axes, t_axes = _group_axes(f, group)
-    y_shape = tuple(a.count for a in y_axes)
-    t_shape = tuple(a.count for a in t_axes)
-    n_y, n_t = int(np.prod(y_shape)), int(np.prod(t_shape))
     # half-offset central dual lattice: no node sits on the degenerate
     # tau = 0 plane, where the multiplier is discontinuous
-    offsets = [0.0] * m + [0.5] * r
-    f_hat = euclidean_ft(f, offsets).reshape(n_y, n_t)
-
+    f_hat = _ft_axes(_ft_axes(f.values, y_axes), t_axes, group.m, 0.5)
+    y_pts = lattice_points([a.points() for a in y_axes])
     xi_pts = lattice_points([dual_axis_points(a) for a in y_axes])
     tau_pts = lattice_points([dual_axis_points(a, 0.5) for a in t_axes])
-    y_pts = lattice_points([a.points() for a in y_axes])
-    t_pts = lattice_points([a.points() for a in t_axes])
+    f_hat = f_hat.reshape(len(y_pts), len(tau_pts))
 
     phase_yx = np.exp(1j * (y_pts @ xi_pts.T))
-    partial = np.zeros((n_y, tau_pts.shape[0]), dtype=complex)
-    for itau, tau in enumerate(tau_pts):
+    partial = np.empty(f_hat.shape, dtype=complex)
+    for q, tau in enumerate(tau_pts):
         frame = normalize(group, tau)
-        # the multiplier sits on the right convolution factor, so its
-        # argument is shifted the opposite way to the left-factor shift
-        # of the Fourier-side group convolution
+        # the multiplier is the transform of the right convolution factor,
+        # which the twist exp(-2i y.M x) evaluates at xi + 2 M^T y
         shift = 2.0 * y_pts @ group.b_tau(tau)  # rows: 2 M^T y
         xi_hat = (xi_pts[None, :, :] + shift[:, None, :]) @ frame.O
         mult = abel_multiplier(frame, R, xi_hat)
-        partial[:, itau] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, itau])
-    phase_t = np.exp(1j * (t_pts @ tau_pts.T))
-    out = np.einsum("yq,tq->yt", partial, phase_t) * _inverse_ft_weight(f.axes)
+        partial[:, q] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, q])
+    partial *= _inverse_ft_weight(y_axes)
+    out = _inverse_central_ft(partial, t_axes, tau_pts)
     return SampledField(
-        axes=f.axes, values=out.reshape(y_shape + t_shape), group=group
+        axes=f.axes, values=out.reshape(f.values.shape), group=group
     )
 

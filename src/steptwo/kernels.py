@@ -108,6 +108,26 @@ class QuadResult:
         return complex(self.value)
 
 
+def _refine(run_pass, max_refine, tol, what):
+    """Refine until two consecutive passes agree to ``tol`` relatively.
+
+    ``run_pass(level)`` returns (value, nodes) for levels 0..max_refine;
+    the max-norm delta of the last two passes is reported as ``est_error``.
+    """
+    if max_refine < 1:
+        raise DimensionError(f"max_refine must be at least 1, got {max_refine}")
+    prev, _ = run_pass(0)
+    for level in range(1, max_refine + 1):
+        cur, nodes = run_pass(level)
+        err = float(np.abs(cur - prev).max())
+        prev = cur
+        if err <= tol * max(float(np.abs(cur).max()), 1e-300):
+            return QuadResult(value=cur, est_error=err, nodes_used=nodes)
+    raise QuadratureError(
+        f"{what} quadrature did not converge: last delta {err:.3e}"
+    )
+
+
 def _sphere_spectra(group, pts):
     """Eigenvalue magnitudes and plane energies of y for unit frequencies.
 
@@ -188,17 +208,11 @@ def fundamental_solution(
             "fundamental_solution requires y != 0 (the y = 0 slice needs "
             "analytic continuation, which is out of scope)"
         )
-    prev, nodes = _fs_quadrature(group, y, t, radial, sphere_level, abel)
-    for level in range(1, max_refine + 1):
-        cur, nodes = _fs_quadrature(
-            group, y, t, radial * 2**level, sphere_level + 8 * level, abel
-        )
-        err = abs(cur - prev)
-        prev = cur
-        if err <= tol * max(abs(cur), 1e-300):
-            return QuadResult(value=cur, est_error=err, nodes_used=nodes)
-    raise QuadratureError(
-        f"fundamental solution quadrature did not converge: last delta {err:.3e}"
+    return _refine(
+        lambda lv: _fs_quadrature(
+            group, y, t, radial * 2**lv, sphere_level + 8 * lv, abel
+        ),
+        max_refine, tol, "fundamental solution",
     )
 
 
@@ -305,10 +319,14 @@ def null_vector(k, tau_dot):
     return e / np.sqrt(gamma_sq)
 
 
-def szego_data(k, tau):
-    """Matrices and null data of the level-k operator at frequency tau."""
+def _check_level(k):
     if k < 1:
         raise DimensionError(f"the level k must be a positive integer, got {k}")
+
+
+def szego_data(k, tau):
+    """Matrices and null data of the level-k operator at frequency tau."""
+    _check_level(k)
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if tau.size != 3 or not np.any(tau):
         raise DimensionError("szego_data needs a nonzero tau in R^3")
@@ -346,6 +364,7 @@ def szego_kernel(k, y, s, level=20, tol=1e-10, max_refine=3):
     unit sphere of frequencies, against the principal-branch complex power
     of |y|^2 - i tau.s (positive real part for y != 0).
     """
+    _check_level(k)
     y = np.asarray(y, dtype=float).reshape(-1)
     s = np.asarray(s, dtype=float).reshape(-1)
     if y.size != 4 or s.size != 3:
@@ -355,13 +374,7 @@ def szego_kernel(k, y, s, level=20, tol=1e-10, max_refine=3):
             "szego_kernel requires y != 0 (the changed-contour evaluation is "
             "out of scope)"
         )
-    prev, _ = _szego_pass(k, y, s, level)
-    for step in range(1, max_refine + 1):
-        cur, nodes = _szego_pass(k, y, s, level + 12 * step)
-        err = float(np.abs(cur - prev).max())
-        prev = cur
-        if err <= tol * max(float(np.abs(cur).max()), 1e-300):
-            return QuadResult(value=cur, est_error=err, nodes_used=nodes)
-    raise QuadratureError(
-        f"Szego kernel quadrature did not converge: last delta {err:.3e}"
+    return _refine(
+        lambda step: _szego_pass(k, y, s, level + 12 * step),
+        max_refine, tol, "Szego kernel",
     )

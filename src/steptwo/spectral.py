@@ -340,25 +340,22 @@ def degeneracy_scan(group, samples, tol=DEGENERACY_RTOL):
 
     Numeric stand-in for the algebraic description of the degeneracy set:
     each sample gets its mu vector, its min-gap diagnostic, its clustered
-    multiplicity pattern, and a flag when min-gap falls below
-    tol * ||B_tau||_2.
+    multiplicity pattern, and a flag when some mu_j falls below
+    tol * mu_1 (always when B_tau = 0): the degeneracy test of
+    ``normalize``.
     """
     rows = []
     for tau in samples:
         tau = np.asarray(tau, dtype=float).reshape(-1)
-        M = group.b_tau(tau)
-        mu, _ = _negative_eigenpairs(M)
-        scale = max(mu[0], np.abs(M).max(), 1e-300)
-        gap_tol = tol * scale
-        pattern = tuple(len(c) for c in _cluster(mu, gap_tol))
-        gap = _min_gap(mu, gap_tol)
+        mu, _ = _negative_eigenpairs(group.b_tau(tau))
+        gap_tol = tol * mu[0]
         rows.append(
             ScanRow(
                 tau=_as_readonly(tau),
                 mu=_as_readonly(mu),
-                min_gap=gap,
-                pattern=pattern,
-                flagged=bool(gap < gap_tol),
+                min_gap=_min_gap(mu, gap_tol),
+                pattern=tuple(len(c) for c in _cluster(mu, gap_tol)),
+                flagged=bool(_degenerate(mu, tol).any()),
             )
         )
     return ScanReport(rows=tuple(rows), tol=tol)

@@ -140,6 +140,15 @@ def test_szego_point(capsys):
     assert json.loads(out)["y"] == [-0.5, 0.2, 0.1, 0.3]
 
 
+def test_szego_level_below_one(capsys):
+    for k in ("0", "-2"):
+        code, out, err = run_cli(
+            ["szego", "--k", k, "--y", "1,0,0,0", "--s", "0,0,0"], capsys
+        )
+        assert code == 1 and out == ""
+        assert "level k" in err and "Traceback" not in err
+
+
 def test_convolve_twisted_paths(tmp_path, capsys):
     ax = symmetric_axis(6.0, 64)
     tau = np.array([1.0])
@@ -239,6 +248,24 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             run(["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,0", *extra])
         assert exc.value.code == 2
+
+
+def test_closed_stdout_ends_quietly():
+    # 2000 scan rows overflow the pipe buffer, so the CLI is still writing
+    # when the reader hangs up after the header line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steptwo.cli", "spectral", "scan", "--group",
+         "preset:quaternionic-heisenberg", "--samples", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert header.startswith(b"tau0,tau1,tau2,")
+    assert err == b""
 
 
 def test_selftest_smoke(capsys):

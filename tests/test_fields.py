@@ -10,7 +10,7 @@ from steptwo.fields import (
     dual_axis_points,
     symmetric_axis,
 )
-from conftest import abel_partial_sum, axis_derivative_4th
+from conftest import abel_partial_sum, axis_derivative_4th, random_skew_group
 
 
 def gaussian_mixture(rng, axes, terms=3):
@@ -370,6 +370,34 @@ class TestGroupConvolution:
         inner = (slice(2, -2), slice(2, -2), slice(4, -4))
         assert np.abs(direct.values - four.values)[inner].max() < 1e-4 * scale
 
+    def test_fourier_path_two_dimensional_center(self, rng):
+        # r = 2: the full-grid Fourier path against direct quadrature at
+        # interior lattice probes
+        g = random_skew_group(rng, n=1, r=2)
+        ay, at = symmetric_axis(4.0, 12), symmetric_axis(6.0, 12)
+        axes = (ay, ay, at, at)
+        phi = SampledField.from_function(
+            axes,
+            lambda p: np.exp(
+                -np.sum(p[..., :2] ** 2, -1) - 0.8 * np.sum(p[..., 2:] ** 2, -1)
+            )
+            * (1 + 0.5 * p[..., 0]),
+        )
+        psi = SampledField.from_function(
+            axes,
+            lambda p: np.exp(
+                -0.9 * ((p[..., 0] - 0.3) ** 2 + p[..., 1] ** 2)
+                - 0.6 * np.sum(p[..., 2:] ** 2, -1)
+            ),
+        )
+        four = st.group_convolve_fourier(phi, psi, g)
+        ys, ss = ay.points(), at.points()
+        idx = [(6, 5, 6, 6), (5, 7, 4, 7), (7, 6, 8, 5), (6, 6, 5, 3)]
+        probes = [g.point([ys[i], ys[j]], [ss[k], ss[l]]) for i, j, k, l in idx]
+        direct = st.group_convolve(phi, psi, g, out_points=probes)
+        fv = np.array([four.values[i] for i in idx])
+        assert np.abs(fv - direct).max() < 1e-2 * np.abs(direct).max()
+
     def test_probe_points_match_full_grid(self, h1):
         axes = (symmetric_axis(5.0, 16),) * 2 + (symmetric_axis(8.0, 16),)
         phi, psi = self._test_fields(axes)
@@ -443,16 +471,6 @@ class TestGroupConvolution:
                 recon[i] += np.exp(1j * np.dot(p.t, tau)) * tval
         recon *= dv / (2 * np.pi) ** 3
         assert np.abs(direct - recon).max() < 0.03 * np.abs(direct).max()
-
-    def test_shifted_frequency_helper(self, h1):
-        xi = np.array([0.3, -0.7])
-        tau = [0.6]
-        np.testing.assert_allclose(
-            st.shifted_horizontal_frequency(h1, tau, [0.0, 0.0], xi), xi
-        )
-        y1, y2 = np.array([0.2, 0.5]), np.array([-1.0, 0.3])
-        sh = lambda y: st.shifted_horizontal_frequency(h1, tau, y, xi) - xi
-        np.testing.assert_allclose(sh(y1 + y2), sh(y1) + sh(y2), atol=1e-14)
 
 
 class TestAbel:

@@ -243,6 +243,11 @@ class TestSzego:
             st.szego_data(1, [0.0, 0.0, 0.0])
         with pytest.raises(st.DimensionError, match="y != 0"):
             st.szego_kernel(1, [0.0, 0, 0, 0], [1.0, 0, 0])
+        for k in (0, -2):
+            with pytest.raises(st.DimensionError, match="level k"):
+                st.szego_kernel(k, [1.0, 0, 0, 0], [0.0, 0, 0])
+        with pytest.raises(st.DimensionError, match="max_refine"):
+            st.szego_kernel(1, [1.0, 0, 0, 0], [0.0, 0, 0], max_refine=0)
 
     def test_kernel_value_at_zero_central(self):
         for y in ([1.0, 0, 0, 0], [0.3, 0.5, -0.7, 0.2]):

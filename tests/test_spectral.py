@@ -205,6 +205,23 @@ def test_degeneracy_scan_patterns(quat, h1, rng):
     assert any(p == (2,) for p, _ in report2.patterns)
 
 
+def test_degeneracy_scan_flags_vanishing_form():
+    # B_tau = (tau_0 + 2 tau_1) J vanishes on one line of frequencies; the
+    # scan flags exactly the samples normalize rejects
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    g = st.make_group(1, 2, [J, 2.0 * J])
+    samples = np.array([[2.0, -1.0], [1.0, 0.0], [0.6, 0.8], [-2.0, 1.0]])
+    report = st.degeneracy_scan(g, samples)
+    assert [row.flagged for row in report.rows] == [True, False, False, True]
+    for row in report.rows:
+        if row.flagged:
+            assert not np.any(row.mu)
+            with pytest.raises(st.DegenerateTauError):
+                st.normalize(g, row.tau)
+        else:
+            st.normalize(g, row.tau)
+
+
 def test_frame_is_readonly(quat):
     fr = st.normalize(quat, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
