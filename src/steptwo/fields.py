@@ -9,6 +9,7 @@ rapidly decaying integrands used throughout.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -26,6 +27,10 @@ class Axis:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.step)):
+            raise GridError(
+                f"axis origin and step must be finite, got {self.lo}, {self.step}"
+            )
         if self.count < 2:
             raise GridError(f"axis needs at least 2 points, got {self.count}")
         if self.step <= 0:
@@ -169,16 +174,30 @@ class SampledField:
 
         path = str(path)
         with open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
-                raise GridError(f"{path} is not a field container")
-            (ndim,) = struct.unpack("<q", fh.read(8))
-            axes = []
-            for _ in range(ndim):
-                lo, step, count = struct.unpack("<ddq", fh.read(24))
-                axes.append(Axis(lo=lo, step=step, count=count))
-            shape = tuple(a.count for a in axes)
-            raw = fh.read(16 * int(np.prod(shape)))
-            values = np.frombuffer(raw, dtype=complex).reshape(shape).copy()
+            data = fh.read()
+        if len(data) < 16 or data[:8] != _MAGIC:
+            raise GridError(f"{path} is not a field container")
+        (ndim,) = struct.unpack_from("<q", data, 8)
+        header = 16 + 24 * ndim
+        if ndim < 0 or header > len(data):
+            raise GridError(
+                f"{path}: the field container header is truncated or "
+                f"declares an invalid axis count ({ndim})"
+            )
+        axes = [
+            Axis(*struct.unpack_from("<ddq", data, 16 + 24 * i))
+            for i in range(ndim)
+        ]
+        shape = tuple(a.count for a in axes)
+        # Python integers: a corrupted count cannot overflow here
+        expected = 16 * math.prod(shape)
+        if expected != len(data) - header:
+            raise GridError(
+                f"{path}: a grid of shape {shape} needs {expected} payload "
+                f"bytes, the container holds {len(data) - header}"
+            )
+        values = np.frombuffer(data, dtype=complex, offset=header)
+        values = values.reshape(shape).copy()
         group = tau = None
         try:
             with open(path + ".json", "r", encoding="utf-8") as fh:
@@ -279,60 +298,130 @@ def _strided_axes(axes, stride):
     return tuple(out_axes), starts
 
 
-def _twisted_engine(f, g, M, out_stride=1, batch=128):
-    """Quadrature of int exp(-2i y.M x) f(y-x) g(x) dx on the shared grid.
+# Complex elements in one chunk of the FFT engine's per-row arrays; a few
+# such arrays are live at once, so the engine's working memory stays near
+# a fixed size whatever the grid.
+_FFT_CHUNK_ELEMENTS = 1 << 18
 
-    f(y-x) is a lattice lookup (zero outside the window): both points are
-    on the grid and the origin is a lattice point, so their difference has
-    integer grid coordinates.  All contractions go through einsum, which
-    keeps the reduction order fixed regardless of BLAS threading.
+
+def _isotropic_split(M):
+    """Axes (P, Q) with M[Q, Q] = 0, Q chosen greedily from the last axis.
+
+    P keeps at least one axis, also at tau = 0 where every axis qualifies.
+    """
+    d = M.shape[0]
+    Q = []
+    for j in range(d - 1, -1, -1):
+        trial = Q + [j]
+        if len(trial) < d and not np.any(M[np.ix_(trial, trial)]):
+            Q = trial
+    Q = sorted(Q)
+    return [j for j in range(d) if j not in Q], Q
+
+
+def _twisted_engine(f, g, M, out_stride=1):
+    """Lattice sum sum_X f[I-X] g[X] exp(-2i y_I.M x_X) * cell on the shared grid.
+
+    f(y-x) is a lattice lookup, zero outside the window: both points are on
+    the grid and the origin is a lattice point, so their difference has
+    integer grid coordinates.  With M[Q, Q] = 0 the phase splits as
+    y_P.M_PQ x_Q + (y_P M_PP + y_Q M_QP).x_P, so for each output row y_P the
+    sum over x_Q is a linear convolution of f with g modulated by
+    exp(-2i y_P.M_PQ x_Q), done by FFT, and the sum over x_P is a phase
+    contraction.  This is the same sum, O(N^(2|P|+|Q|) log N) instead of
+    O(N^(2d)); output rows are chunked to a fixed element budget.  numpy's
+    FFT is single-threaded and the contraction goes through einsum, so the
+    result does not depend on BLAS threading.
     """
     _check_shared_grid(f, g)
     d = f.ndim
     if d % 2:
         raise GridError("twisted convolution needs an even number of axes")
-    counts = np.array([a.count for a in f.axes])
-    zero = np.array([a.zero_index for a in f.axes])
-    steps = np.array([a.step for a in f.axes])
-    los = np.array([a.lo for a in f.axes])
+    M = np.asarray(M, dtype=float)
+    P, Q = _isotropic_split(M)
+    axes = f.axes
+    out_axes, starts = _strided_axes(axes, out_stride)
+    q_counts = tuple(axes[j].count for j in Q)
+    # the shortest FFT lengths at which the circular convolution equals the
+    # linear one on the output indices zero .. zero + count - 1
+    pad = tuple(
+        max(a.count + a.zero_index, 2 * a.count - 1 - a.zero_index)
+        for a in (axes[j] for j in Q)
+    )
+    fft_axes = tuple(range(2, 2 + len(Q)))
 
-    grid_idx = lattice_points([np.arange(c) for c in counts])
-    x_pts = los + grid_idx * steps
-    gw = g.values.reshape(-1) * f.cell_volume
-    f_flat = f.values.reshape(-1)
+    def split(vals):
+        return vals.transpose(P + Q).reshape((1, -1) + q_counts)
 
-    out_axes, starts = _strided_axes(f.axes, out_stride)
-    out_counts = tuple(a.count for a in out_axes)
-    out_idx = lattice_points(
-        [s + out_stride * np.arange(c) for s, c in zip(starts, out_counts)]
+    full = [np.arange(a.count) for a in axes]
+    sub = [s + out_stride * np.arange(a.count) for s, a in zip(starts, out_axes)]
+
+    def points(ids, idx):
+        return lattice_points([axes[j].lo + axes[j].step * idx[j] for j in ids])
+
+    x_p, x_q, y_p, y_q = (
+        points(P, full), points(Q, full), points(P, sub), points(Q, sub)
+    )
+    p_idx = lattice_points([full[j] for j in P])
+    p_sub = lattice_points([sub[j] for j in P])
+    p_counts = np.array([axes[j].count for j in P])
+    p_zero = np.array([axes[j].zero_index for j in P])
+    # output index I_Q sits at linear-convolution index I_Q + zero_Q
+    keep = (slice(None), slice(None)) + tuple(
+        slice(s + a.zero_index, a.count + a.zero_index, out_stride)
+        for s, a in ((starts[j], axes[j]) for j in Q)
     )
 
-    twoM = 2.0 * np.asarray(M, dtype=float)
-    out = np.empty(out_idx.shape[0], dtype=complex)
-    for lo_b in range(0, out_idx.shape[0], batch):
-        I = out_idx[lo_b : lo_b + batch]
-        y_pts = los + I * steps
-        K = I[:, None, :] - grid_idx[None, :, :] + zero
-        valid = np.all((K >= 0) & (K < counts), axis=-1)
-        flat_idx = np.ravel_multi_index(
-            tuple(np.moveaxis(K, -1, 0)), tuple(counts), mode="clip"
+    twoM = 2.0 * M
+    # one zero row past the end stands for f outside the window
+    f_hat = np.zeros((len(x_p) + 1, int(np.prod(pad))), dtype=complex)
+    f_hat[:-1] = np.fft.fftn(split(f.values), s=pad, axes=fft_axes).reshape(
+        len(x_p), -1
+    )
+    gw = split(g.values) * f.cell_volume
+    phase_qp = np.exp(-1j * (y_q @ twoM[np.ix_(Q, P)]) @ x_p.T)
+    n_out = len(y_p)
+    out = np.empty((n_out, len(y_q)), dtype=complex)
+    rows = max(1, _FFT_CHUNK_ELEMENTS // (len(x_p) * f_hat.shape[1]))
+    for lo_b in range(0, n_out, rows):
+        b = slice(lo_b, lo_b + rows)
+        mod = np.exp(-1j * (y_p[b] @ twoM[np.ix_(P, Q)]) @ x_q.T)
+        g_hat = np.fft.fftn(
+            gw * mod.reshape((-1, 1) + q_counts), s=pad, axes=fft_axes
+        ).reshape(mod.shape[0], len(x_p), -1)
+        K = p_sub[b][:, None, :] - p_idx[None, :, :] + p_zero
+        valid = np.all((K >= 0) & (K < p_counts), axis=-1)
+        flat = np.ravel_multi_index(
+            tuple(np.moveaxis(K, -1, 0)), tuple(p_counts), mode="clip"
         )
-        fv = np.where(valid, f_flat[flat_idx], 0.0)
-        phase = np.exp(-1j * np.einsum("bd,xd->bx", y_pts @ twoM, x_pts))
-        out[lo_b : lo_b + batch] = np.einsum("bx,bx,x->b", phase, fv, gw)
-    return out.reshape(out_counts), out_axes
+        g_hat *= f_hat[np.where(valid, flat, len(x_p))]
+        conv = np.fft.ifftn(
+            g_hat.reshape(g_hat.shape[:2] + pad), axes=fft_axes
+        )[keep].reshape(g_hat.shape[0], len(x_p), -1)
+        phase_pp = np.exp(-1j * (y_p[b] @ twoM[np.ix_(P, P)]) @ x_p.T)
+        out[b] = np.einsum("bx,qx,bxq->bq", phase_pp, phase_qp, conv)
+    shape = tuple(out_axes[j].count for j in P + Q)
+    inverse = np.argsort(P + Q)
+    return out.reshape(shape).transpose(inverse), out_axes
 
 
 def twisted_convolve(f, g, group, tau, out_stride=1):
     """Twisted convolution of two fields over R^(2n) at frequency tau.
 
-    Direct quadrature of the defining oscillatory integral on the shared
-    grid, O(N^2) in the number N of grid points; this is the path behind
+    The Riemann sum of the defining oscillatory integral on the shared
+    grid, evaluated exactly by FFT along a set of axes on which B_tau
+    vanishes: O(N^3 log N) on a 2-D grid of N^2 points, O(N^6 log N) on the
+    quaternionic group at a coordinate tau; this is the path behind
     ``convolve --path direct``.  tau = 0 reduces to the Euclidean
     convolution.  ``out_stride`` > 1 evaluates on a strided subgrid (which
     still contains the origin).
     """
     tau = np.asarray(tau, dtype=float).reshape(-1)
+    if f.ndim != group.m:
+        raise GridError(
+            f"fields must have {group.m} horizontal axes for this group, "
+            f"got {f.ndim}"
+        )
     values, axes = _twisted_engine(f, g, group.b_tau(tau), out_stride)
     return SampledField(axes=axes, values=values, group=group, tau=tau)
 

@@ -320,7 +320,7 @@ def null_vector(k, tau_dot):
 
 
 def _check_level(k):
-    if k < 1:
+    if not isinstance(k, (int, np.integer)) or k < 1:
         raise DimensionError(f"the level k must be a positive integer, got {k}")
 
 

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import steptwo as st
-from steptwo.fields import dual_axis_points, lattice_points
+from steptwo.fields import (
+    _check_shared_grid,
+    _strided_axes,
+    dual_axis_points,
+    lattice_points,
+)
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
 
 
@@ -30,6 +35,48 @@ def random_skew_group(rng, n=None, r=None):
     r = int(rng.integers(1, 4)) if r is None else r
     B = rng.standard_normal((r, 2 * n, 2 * n))
     return st.make_group(n, r, B - np.transpose(B, (0, 2, 1)))
+
+
+def twisted_direct(f, g, M, out_stride=1):
+    """Direct O(N^2) lattice sum of the twisted convolution (slow oracle).
+
+    Same contract as ``steptwo.fields._twisted_engine``: the Riemann sum of
+    exp(-2i y.M x) f(y-x) g(x) over the shared grid, f(y-x) looked up on
+    the lattice and zero outside the window, evaluated point by point in
+    batches of 128 output points.  Returns (values, output axes).
+    """
+    _check_shared_grid(f, g)
+    counts = np.array([a.count for a in f.axes])
+    zero = np.array([a.zero_index for a in f.axes])
+    steps = np.array([a.step for a in f.axes])
+    los = np.array([a.lo for a in f.axes])
+
+    grid_idx = lattice_points([np.arange(c) for c in counts])
+    x_pts = los + grid_idx * steps
+    gw = g.values.reshape(-1) * f.cell_volume
+    f_flat = f.values.reshape(-1)
+
+    out_axes, starts = _strided_axes(f.axes, out_stride)
+    out_counts = tuple(a.count for a in out_axes)
+    out_idx = lattice_points(
+        [s + out_stride * np.arange(c) for s, c in zip(starts, out_counts)]
+    )
+
+    twoM = 2.0 * np.asarray(M, dtype=float)
+    out = np.empty(out_idx.shape[0], dtype=complex)
+    batch = 128
+    for lo_b in range(0, out_idx.shape[0], batch):
+        I = out_idx[lo_b : lo_b + batch]
+        y_pts = los + I * steps
+        K = I[:, None, :] - grid_idx[None, :, :] + zero
+        valid = np.all((K >= 0) & (K < counts), axis=-1)
+        flat_idx = np.ravel_multi_index(
+            tuple(np.moveaxis(K, -1, 0)), tuple(counts), mode="clip"
+        )
+        fv = np.where(valid, f_flat[flat_idx], 0.0)
+        phase = np.exp(-1j * np.einsum("bd,xd->bx", y_pts @ twoM, x_pts))
+        out[lo_b : lo_b + batch] = np.einsum("bx,bx,x->b", phase, fv, gw)
+    return out.reshape(out_counts), out_axes
 
 
 def abel_partial_sum(f, group, R, terms):

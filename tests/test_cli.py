@@ -189,6 +189,44 @@ def test_convolve_twisted_paths(tmp_path, capsys):
     assert code == 1 and "direct or tensor" in err
 
 
+def test_convolve_rejects_fields_of_the_wrong_dimension(tmp_path, capsys):
+    ax = symmetric_axis(4.0, 12)
+    f = SampledField.from_function((ax, ax), lambda p: np.exp(-np.sum(p**2, -1)) + 0j)
+    fa = tmp_path / "a.field"
+    f.save(fa)
+    code, out, err = run_cli(
+        ["convolve", f"--a={fa}", f"--b={fa}", "--tau=1,0,0",
+         "--group=preset:quaternionic-heisenberg", "--path=direct",
+         f"--out={tmp_path / 'c.field'}"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert "4 horizontal axes" in err and "got 2" in err
+    assert "Traceback" not in err
+
+
+def test_convolve_rejects_damaged_containers(tmp_path, capsys):
+    ax = symmetric_axis(4.0, 12)
+    f = SampledField.from_function((ax, ax), lambda p: np.exp(-np.sum(p**2, -1)) + 0j)
+    good = tmp_path / "good.field"
+    f.save(good)
+    data = good.read_bytes()
+    truncated = tmp_path / "truncated.field"
+    truncated.write_bytes(data[:-100])
+    corrupted = tmp_path / "corrupted.field"
+    corrupted.write_bytes(data[:56] + (2**62).to_bytes(8, "little") + data[64:])
+    for bad in (truncated, corrupted):
+        proc = subprocess.run(
+            [sys.executable, "-m", "steptwo.cli", "convolve", "--a", str(bad),
+             "--b", str(good), "--group", "preset:heisenberg-1", "--tau", "1",
+             "--out", str(tmp_path / "c.field")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "payload bytes" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_convolve_group_fourier(tmp_path, capsys):
     axes = (symmetric_axis(4.0, 10),) * 2 + (symmetric_axis(6.0, 10),)
     f = SampledField.from_function(axes, lambda p: np.exp(-np.sum(p**2, -1)) + 0j)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,17 @@ import steptwo as st
 from steptwo.fields import (
     Axis,
     SampledField,
-    _twisted_engine,
+    _isotropic_split,
     abel_multiplier,
     dual_axis_points,
     symmetric_axis,
 )
-from conftest import abel_partial_sum, axis_derivative_4th, random_skew_group
+from conftest import (
+    abel_partial_sum,
+    axis_derivative_4th,
+    random_skew_group,
+    twisted_direct,
+)
 
 
 def gaussian_mixture(rng, axes, terms=3):
@@ -32,6 +39,9 @@ class TestSampledField:
             Axis(lo=0.0, step=0.1, count=1)
         with pytest.raises(st.GridError):
             Axis(lo=0.0, step=-0.1, count=4)
+        for lo, step in ((0.0, np.nan), (np.nan, 0.1), (-np.inf, 0.1), (0.0, np.inf)):
+            with pytest.raises(st.GridError, match="finite"):
+                Axis(lo=lo, step=step, count=4)
         # origin must be a lattice point for convolution grids
         assert symmetric_axis(6.0, 128).zero_index == 64
         assert symmetric_axis(6.0, 65).zero_index == 32
@@ -66,6 +76,25 @@ class TestSampledField:
         path.write_bytes(b"this is not a field container at all")
         with pytest.raises(st.GridError, match="container"):
             SampledField.load(path)
+
+    def test_load_rejects_damaged_containers(self, tmp_path):
+        ax = symmetric_axis(2.0, 6)
+        f = SampledField.from_function((ax, ax), lambda p: p[..., 0] + 1j)
+        path = tmp_path / "field.bin"
+        f.save(path)
+        data = path.read_bytes()
+        damaged = {
+            "truncated": data[:-16],
+            "corrupted count": data[:56] + (2**62).to_bytes(8, "little") + data[64:],
+            "count off by one": data[:56] + (7).to_bytes(8, "little") + data[64:],
+            "negative ndim": data[:8] + (-1).to_bytes(8, "little", signed=True) + data[16:],
+            "header past the end": data[:8] + (1000).to_bytes(8, "little") + data[16:],
+            "NaN step": data[:24] + struct.pack("<d", np.nan) + data[32:],
+        }
+        for name, raw in damaged.items():
+            path.write_bytes(raw)
+            with pytest.raises(st.GridError, match="header|payload|finite"):
+                SampledField.load(path)
 
     def test_csv_export(self, tmp_path):
         ax = symmetric_axis(1.0, 4)
@@ -152,6 +181,54 @@ class TestTwistedConvolution:
             )
             oracle = (fv * g.values).sum() * h * h
             assert conv.values[i, j] == pytest.approx(oracle, abs=1e-12)
+
+    @staticmethod
+    def _random_pair(rng, axes):
+        shape = tuple(a.count for a in axes)
+        return [
+            SampledField(
+                axes=axes,
+                values=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            )
+            for _ in range(2)
+        ]
+
+    def _assert_matches_oracle(self, rng, group, tau, axes, stride):
+        f, g = self._random_pair(rng, axes)
+        fast = st.twisted_convolve(f, g, group, tau, out_stride=stride)
+        oracle, oracle_axes = twisted_direct(f, g, group.b_tau(tau), stride)
+        assert fast.axes == oracle_axes
+        assert np.abs(fast.values - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize(
+        "count, stride, tau",
+        [(16, 1, 1.3), (33, 1, 0.7), (48, 4, 1.0), (64, 6, -0.9), (20, 1, 0.0)],
+    )
+    def test_fft_engine_matches_direct_oracle_h1(self, h1, rng, count, stride, tau):
+        # the second axis puts the origin off-centre, near one end
+        axes = (symmetric_axis(5.0, count), Axis(lo=-1.2, step=0.4, count=count + 3))
+        self._assert_matches_oracle(rng, h1, [tau], axes, stride)
+
+    def test_fft_engine_matches_direct_oracle_n2(self, quat, rng):
+        group = random_skew_group(rng, n=2, r=2)
+        self._assert_matches_oracle(
+            rng, group, [0.4, -0.7], (symmetric_axis(3.0, 6),) * 4, 1
+        )
+        # coordinate Lagrangian split: FFT over two axes at once
+        assert _isotropic_split(quat.b_tau([1.0, 0.0, 0.0])) == ([0, 2], [1, 3])
+        self._assert_matches_oracle(
+            rng, quat, [1.0, 0.0, 0.0], (symmetric_axis(4.0, 10),) * 4, 3
+        )
+
+    def test_isotropic_split_keeps_an_output_axis(self, h1, quat):
+        assert _isotropic_split(h1.b_tau([1.0])) == ([0], [1])
+        assert _isotropic_split(h1.b_tau([0.0])) == ([0], [1])
+        assert _isotropic_split(quat.b_tau([0.0, 0.0, 0.0])) == ([0], [1, 2, 3])
+
+    def test_horizontal_axes_must_match_group(self, quat, rng):
+        f = gaussian_mixture(rng, (symmetric_axis(5.0, 16),) * 2)
+        with pytest.raises(st.GridError, match="4 horizontal axes.*got 2"):
+            st.twisted_convolve(f, f, quat, [1.0, 0.0, 0.0])
 
     def test_ground_state_idempotent(self):
         tau = 1.0
@@ -497,7 +574,7 @@ class TestAbel:
             basis = f.with_values(
                 st.exp_laguerre(fr, st.raw_index((k,), (0,)), mesh)
             )
-            conv, _ = _twisted_engine(f, basis, h1.b_tau(tau))
+            conv, _ = twisted_direct(f, basis, h1.b_tau(tau))
             acc += (R**k) * conv
         fhat = st.euclidean_ft(f).reshape(-1)
         xi = np.stack(

@@ -243,9 +243,15 @@ class TestSzego:
             st.szego_data(1, [0.0, 0.0, 0.0])
         with pytest.raises(st.DimensionError, match="y != 0"):
             st.szego_kernel(1, [0.0, 0, 0, 0], [1.0, 0, 0])
-        for k in (0, -2):
+        for k in (0, -2, 1.5, 2.0):
             with pytest.raises(st.DimensionError, match="level k"):
                 st.szego_kernel(k, [1.0, 0, 0, 0], [0.0, 0, 0])
+        with pytest.raises(st.DimensionError, match="level k"):
+            st.szego_data(1.5, [1.0, 0.0, 0.0])
+        numpy_level = st.szego_kernel(np.int64(1), [1.0, 0, 0, 0], [0.0, 0, 0])
+        np.testing.assert_array_equal(
+            numpy_level.value, st.szego_kernel(1, [1.0, 0, 0, 0], [0.0, 0, 0]).value
+        )
         with pytest.raises(st.DimensionError, match="max_refine"):
             st.szego_kernel(1, [1.0, 0, 0, 0], [0.0, 0, 0], max_refine=0)
 
