@@ -9,6 +9,7 @@ for a fixed command line and seed, independent of the thread count.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -20,12 +21,45 @@ from .errors import SteptwoError
 from .selftest import SUITES, run_suite
 
 
-def _parse_floats(text):
-    return np.array([float(v) for v in text.split(",") if v != ""])
+def _checked(convert, ok, expected):
+    """An argparse type: ``convert`` the text and require ``ok`` of it, so a
+    bad value exits 2 with a message naming the option."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except (ValueError, SteptwoError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_ints(text):
-    return tuple(int(v) for v in text.split(",") if v != "")
+def _split(text, convert):
+    return [convert(v) for v in text.split(",") if v != ""]
+
+
+def _symmetric_axis(text):
+    radius, count = text.split(",")
+    count = int(count)
+    return fields.symmetric_axis(float(radius), count) if count >= 2 else None
+
+
+_floats = _checked(
+    lambda t: np.array(_split(t, float)),
+    lambda v: np.isfinite(v).all(),
+    "comma-separated finite numbers",
+)
+_number = _checked(float, math.isfinite, "a finite number")
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+_ints = _checked(lambda t: tuple(_split(t, int)), bool, "comma-separated integers")
+_count = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_grid_axis = _checked(
+    _symmetric_axis, bool, "radius,count with radius > 0 and count >= 2"
+)
 
 
 def _load_group(spec):
@@ -52,12 +86,6 @@ def _emit(args, payload):
     _write(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _grid_axes(spec, ndim):
-    radius, count = spec.split(",")
-    ax = fields.symmetric_axis(float(radius), int(count))
-    return (ax,) * ndim
-
-
 def cmd_group(args):
     g = _load_group(args.group)
     _emit(args, {"n": g.n, "r": g.r, "m": g.m, "B": [b.tolist() for b in g.B]})
@@ -66,13 +94,12 @@ def cmd_group(args):
 
 def cmd_spectral_normalize(args):
     g = _load_group(args.group)
-    tau = _parse_floats(args.tau)
-    fr = spectral.normalize(g, tau, tol=args.tol)
-    resid, ortho = fr.residuals(g.b_tau(tau))
+    fr = spectral.normalize(g, args.tau, tol=args.tol)
+    resid, ortho = fr.residuals(g.b_tau(args.tau))
     _emit(
         args,
         {
-            "tau": tau.tolist(),
+            "tau": args.tau.tolist(),
             "mu": fr.mu.tolist(),
             "min_gap": fr.min_gap,
             "O": fr.O.tolist(),
@@ -124,12 +151,13 @@ def cmd_laguerre_eval(args):
 
 def cmd_laguerre_field(args):
     g = _load_group(args.group)
-    tau = _parse_floats(args.tau)
-    fr = spectral.normalize(g, tau)
-    idx = laguerre.raw_index(_parse_ints(args.k), _parse_ints(args.p))
-    axes = _grid_axes(args.grid, g.m)
+    fr = spectral.normalize(g, args.tau)
+    idx = laguerre.raw_index(args.k, args.p)
     field = fields.SampledField.from_function(
-        axes, lambda p: laguerre.exp_laguerre(fr, idx, p), group=g, tau=tau
+        (args.grid,) * g.m,
+        lambda p: laguerre.exp_laguerre(fr, idx, p),
+        group=g,
+        tau=args.tau,
     )
     field.to_csv(args.out)
     return 0
@@ -140,11 +168,10 @@ def cmd_convolve(args):
     a = fields.SampledField.load(args.a)
     b = fields.SampledField.load(args.b)
     if args.tau is not None:
-        tau = _parse_floats(args.tau)
         if args.path == "direct":
-            out = fields.twisted_convolve(a, b, g, tau)
+            out = fields.twisted_convolve(a, b, g, args.tau)
         elif args.path == "tensor":
-            fr = spectral.normalize(g, tau)
+            fr = spectral.normalize(g, args.tau)
             T = tensors.tensor_multiply(
                 tensors.laguerre_coefficients(a, fr, args.K),
                 tensors.laguerre_coefficients(b, fr, args.K),
@@ -197,8 +224,7 @@ def _load_tensor(path):
 def cmd_tensor_of_field(args):
     g = _load_group(args.group)
     f = fields.SampledField.load(args.field)
-    tau = _parse_floats(args.tau)
-    fr = spectral.normalize(g, tau)
+    fr = spectral.normalize(g, args.tau)
     T = tensors.laguerre_coefficients(f, fr, args.K)
     _emit(args, _tensor_payload(T, g))
     return 0
@@ -213,7 +239,7 @@ def cmd_tensor_multiply(args):
 
 def cmd_fundamental(args):
     g = _load_group(args.group)
-    coords = _parse_floats(args.point)
+    coords = args.point
     if coords.size != g.dim:
         raise SteptwoError(
             f"--point needs {g.dim} comma-separated coordinates "
@@ -225,7 +251,7 @@ def cmd_fundamental(args):
         # horizontal grid sweep at the fixed central part; the singular
         # y = 0 lattice point (where the kernel needs analytic
         # continuation) is skipped
-        axes = _grid_axes(args.grid, g.m)
+        axes = (args.grid,) * g.m
         rows = []
         for yy in fields.lattice_points([a.points() for a in axes]):
             if np.linalg.norm(yy) < 1e-12:
@@ -263,15 +289,13 @@ def cmd_fundamental(args):
 
 
 def cmd_szego(args):
-    y = _parse_floats(args.y)
-    s = _parse_floats(args.s)
-    res = kernels.szego_kernel(args.k, y, s)
+    res = kernels.szego_kernel(args.k, args.y, args.s)
     _emit(
         args,
         {
             "k": args.k,
-            "y": y.tolist(),
-            "s": s.tolist(),
+            "y": args.y.tolist(),
+            "s": args.s.tolist(),
             "matrix_re": res.value.real.tolist(),
             "matrix_im": res.value.imag.tolist(),
             "est_error": res.est_error,
@@ -308,15 +332,17 @@ def build_parser():
     ssub = p.add_subparsers(dest="subcommand", required=True)
     pn = ssub.add_parser("normalize")
     pn.add_argument("--group", required=True)
-    pn.add_argument("--tau", required=True, help="comma-separated frequency")
-    pn.add_argument("--tol", type=float, default=spectral.DEGENERACY_RTOL)
+    pn.add_argument(
+        "--tau", type=_floats, required=True, help="comma-separated frequency"
+    )
+    pn.add_argument("--tol", type=_tolerance, default=spectral.DEGENERACY_RTOL)
     pn.add_argument("--out")
     pn.set_defaults(fn=cmd_spectral_normalize)
     ps = ssub.add_parser("scan")
     ps.add_argument("--group", required=True)
-    ps.add_argument("--samples", type=int, default=100)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--tol", type=float, default=spectral.DEGENERACY_RTOL)
+    ps.add_argument("--samples", type=_count, default=100)
+    ps.add_argument("--seed", type=_seed, default=0)
+    ps.add_argument("--tol", type=_tolerance, default=spectral.DEGENERACY_RTOL)
     ps.add_argument("--out")
     ps.set_defaults(fn=cmd_spectral_scan)
 
@@ -325,15 +351,21 @@ def build_parser():
     pe = lsub.add_parser("eval")
     pe.add_argument("--k", type=int, required=True)
     pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--sigma", type=float, required=True)
+    pe.add_argument("--sigma", type=_number, required=True)
     pe.add_argument("--out")
     pe.set_defaults(fn=cmd_laguerre_eval)
     pf = lsub.add_parser("field")
     pf.add_argument("--group", required=True)
-    pf.add_argument("--tau", required=True)
-    pf.add_argument("--k", required=True, help="comma-separated radial indices")
-    pf.add_argument("--p", required=True, help="comma-separated angular indices")
-    pf.add_argument("--grid", default="6,64", help="radius,count per axis")
+    pf.add_argument("--tau", type=_floats, required=True)
+    pf.add_argument(
+        "--k", type=_ints, required=True, help="comma-separated radial indices"
+    )
+    pf.add_argument(
+        "--p", type=_ints, required=True, help="comma-separated angular indices"
+    )
+    pf.add_argument(
+        "--grid", type=_grid_axis, default="6,64", help="radius,count per axis"
+    )
     pf.add_argument("--out", required=True, help="CSV output path")
     pf.set_defaults(fn=cmd_laguerre_field)
 
@@ -346,8 +378,8 @@ def build_parser():
     p.add_argument("--b", required=True, help="field container path")
     p.add_argument("--group", required=True)
     p.add_argument("--path", choices=["direct", "fourier", "tensor"], default="direct")
-    p.add_argument("--tau")
-    p.add_argument("--K", type=int, default=8, help="truncation for --path tensor")
+    p.add_argument("--tau", type=_floats)
+    p.add_argument("--K", type=_count, default=8, help="truncation for --path tensor")
     p.add_argument("--out", help="binary field output")
     p.add_argument("--csv", help="CSV output")
     p.set_defaults(fn=cmd_convolve)
@@ -357,8 +389,8 @@ def build_parser():
     tf = tsub.add_parser("of-field")
     tf.add_argument("--field", required=True)
     tf.add_argument("--group", required=True)
-    tf.add_argument("--tau", required=True)
-    tf.add_argument("--K", type=int, default=8)
+    tf.add_argument("--tau", type=_floats, required=True)
+    tf.add_argument("--K", type=_count, default=8)
     tf.add_argument("--out")
     tf.set_defaults(fn=cmd_tensor_of_field)
     tm = tsub.add_parser("multiply")
@@ -371,34 +403,40 @@ def build_parser():
     p.add_argument("--group", required=True)
     p.add_argument(
         "--point",
+        type=_floats,
         required=True,
         help="2n horizontal then r central coordinates, comma-separated",
     )
     p.add_argument(
         "--grid",
+        type=_grid_axis,
         help="radius,count: sweep the horizontal plane at the fixed central "
         "part and emit CSV (y = 0 skipped)",
     )
-    p.add_argument("--radial", type=int, default=120)
-    p.add_argument("--sphere-level", type=int, default=24)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--radial", type=_count, default=120)
+    p.add_argument("--sphere-level", type=_count, default=24)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_fundamental)
 
     p = sub.add_parser("szego", help="Szego kernel matrix at a point")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--y", required=True, help="4 comma-separated coordinates")
-    p.add_argument("--s", required=True, help="3 comma-separated coordinates")
+    p.add_argument(
+        "--y", type=_floats, required=True, help="4 comma-separated coordinates"
+    )
+    p.add_argument(
+        "--s", type=_floats, required=True, help="3 comma-separated coordinates"
+    )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_szego)
 
     p = sub.add_parser("selftest", help="run the invariant battery")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("STEPTWO_THREADS", "1")),
+        type=_count,
+        default=os.environ.get("STEPTWO_THREADS", "1"),
         help="worker threads for the battery (env STEPTWO_THREADS)",
     )
     p.set_defaults(fn=cmd_selftest)
@@ -421,10 +459,6 @@ def run(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_negative_values(argv))
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
-    if getattr(args, "tol", 1.0) <= 0:
-        parser.error("--tol must be positive")
     try:
         return args.fn(args)
     except SteptwoError as exc:

@@ -485,126 +485,65 @@ def _resample_axis(block, positions, ax, order):
 # ---------------------------------------------------------------------------
 
 
-def group_convolve(phi, psi, group, out_points=None, interp_order=8, x_chunk=64):
+def group_convolve(phi, psi, group, interp_order=8):
     """Group convolution by direct quadrature over the sampled lattice.
 
-    Evaluates ``int phi(x,t) psi((x,t)^{-1}(y,s)) dx dt``.  The horizontal
-    shift y - x stays on the lattice; the central argument picks up the
-    off-lattice twist -2B(x, y), handled by local Lagrange resampling of
-    psi along the central axes.  Desk-scale only.
-
-    Parameters
-    ----------
-    phi, psi : SampledField over R^(2n+r), shared grid
-    group : StepTwoGroup
-    out_points : optional sequence of GroupPoint
-        When given, evaluate only at these points (horizontal parts must
-        lie on the lattice; central parts may be anywhere) and return the
-        array of values.  Otherwise return a SampledField on the full
-        grid, which is implemented for r = 1.
+    Evaluates ``int phi(x,t) psi((x,t)^{-1}(y,s)) dx dt`` on the full grid,
+    for any center dimension.  The horizontal shift y - x stays on the
+    lattice; the central argument s - t - 2B(x, y) leaves it.  For each
+    pair (x, y) the sum over t is the linear convolution of the central
+    slices phi[x] and psi[y - x], zero outside the window, done by FFT at
+    the alias-free length 2c - 1 per axis; its entry m sits at
+    2 lo + m step.  Local Lagrange interpolation with ``interp_order`` taps
+    reads it at s - 2B(x, y), one central axis at a time.  Interpolation at
+    one offset commutes with the zero-extended lattice convolution, so this
+    is the sum that resamples psi at the twisted points first.  Desk-scale
+    only: O(N^2 c^r log c) for N horizontal and c^r central grid points.
     """
     _check_shared_grid(phi, psi)
-    r = group.r
     y_axes, t_axes = _group_axes(phi, group)
     y_counts = np.array([a.count for a in y_axes])
-    t_counts = tuple(a.count for a in t_axes)
     y_zero = np.array([a.zero_index for a in y_axes])
+    t_counts = tuple(a.count for a in t_axes)
     t_steps = np.array([a.step for a in t_axes])
-    t_zero = np.array([a.zero_index for a in t_axes])
-    t_los = np.array([a.lo for a in t_axes])
+    pad = tuple(2 * c - 1 for c in t_counts)
+    central = tuple(range(1, 1 + group.r))
+    order = min(interp_order, min(t_counts))
 
     y_idx = lattice_points([np.arange(c) for c in y_counts])
     y_pts = lattice_points([a.points() for a in y_axes])
-    n_x = y_idx.shape[0]
-    phi_xt = phi.values.reshape((n_x,) + t_counts)
-    psi_xt = psi.values.reshape((n_x,) + t_counts)
-    w = phi.cell_volume
-    order = min(interp_order, min(t_counts))
-
-    def _accumulate(y_index, y_point, probe_s):
-        # lattice index of y - x and the central twist 2 B(x, y) per x
-        diff = y_index[None, :] - y_idx + y_zero
-        ok = np.all((diff >= 0) & (diff < y_counts), axis=1)
-        xs_all = np.nonzero(ok)[0]
-        hidx_all = np.ravel_multi_index(tuple(diff[xs_all].T), tuple(y_counts))
-        delta_all = 2.0 * np.einsum(
-            "bkl,xk,l->xb", group.B, y_pts[xs_all], y_point
+    n_y = len(y_idx)
+    phi_hat, psi_hat = (
+        np.fft.fftn(f.values.reshape((n_y,) + t_counts), s=pad, axes=central)
+        for f in (phi, psi)
+    )
+    # convolution index of s_i - 2 lo before the twist: i + zero_index
+    untwisted = [np.arange(a.count) + a.zero_index for a in t_axes]
+    chunk = max(1, _FFT_CHUNK_ELEMENTS // int(np.prod(pad)))
+    out = np.empty((n_y,) + t_counts, dtype=complex)
+    for row in range(n_y):
+        # lattice index of y - x and the central twist 2 B(x, y) / step per x
+        diff = y_idx[row] - y_idx + y_zero
+        xs = np.nonzero(np.all((diff >= 0) & (diff < y_counts), axis=1))[0]
+        shifted = np.ravel_multi_index(tuple(diff[xs].T), tuple(y_counts))
+        twist = (
+            2.0 * np.einsum("bkl,xk,l->xb", group.B, y_pts[xs], y_pts[row])
+            / t_steps
         )
-        if probe_s is None:
-            acc = np.zeros(t_counts, dtype=complex)
-        else:
-            acc = 0.0 + 0.0j
-        for lo in range(0, xs_all.size, x_chunk):
-            xs = xs_all[lo : lo + x_chunk]
-            block = psi_xt[hidx_all[lo : lo + x_chunk]]
-            delta = delta_all[lo : lo + x_chunk]
-            if probe_s is None:
-                acc = acc + _correlate_central(
-                    phi_xt[xs], block, delta, t_counts, t_steps, t_zero, order
-                )
-            else:
-                vals = block
-                for beta in range(r):
-                    c = t_counts[beta]
-                    # source index of coordinate s0 - t_b - delta
-                    pos = (
-                        (probe_s[beta] - delta[:, beta] - 2.0 * t_los[beta])
-                        / t_steps[beta]
-                    )[:, None] - np.arange(c)[None, :]
-                    vals = _resample_axis(vals, pos, 1 + beta, order)
-                acc = acc + (phi_xt[xs] * vals).sum()
-        return acc * w
-
-    if out_points is not None:
-        return np.array(
-            [
-                _accumulate(
-                    _lattice_index(p.y, y_axes), np.asarray(p.y), np.asarray(p.t)
-                )
-                for p in out_points
-            ]
-        )
-
-    if r != 1:
-        raise GridError(
-            "full-grid group convolution is implemented for r = 1; pass "
-            "out_points for groups with larger centers"
-        )
-    out = np.empty((n_x,) + t_counts, dtype=complex)
-    for row in range(n_x):
-        out[row] = _accumulate(y_idx[row], y_pts[row], None)
+        acc = np.zeros(t_counts, dtype=complex)
+        for lo in range(0, len(xs), chunk):
+            b = slice(lo, lo + chunk)
+            conv = np.fft.ifftn(
+                phi_hat[xs[b]] * psi_hat[shifted[b]], axes=central
+            )
+            for beta in range(group.r):
+                pos = untwisted[beta][None, :] - twist[b, beta, None]
+                conv = _resample_axis(conv, pos, 1 + beta, order)
+            acc += conv.sum(axis=0)
+        out[row] = acc * phi.cell_volume
     return SampledField(
         axes=phi.axes, values=out.reshape(phi.values.shape), group=group
     )
-
-
-def _correlate_central(phi_block, psi_block, delta, t_counts, t_steps, t_zero, order):
-    """sum_x sum_t phi(x,t) psi(y-x, s-t-delta(x)) on the full central lattice.
-
-    r = 1 only: builds the difference table chi(x, s-t) by one resampling
-    pass, then contracts.
-    """
-    c = t_counts[0]
-    z = t_zero[0]
-    diffs = np.arange(-(c - 1), c)  # possible s - t lattice offsets
-    pos = (diffs[None, :] - delta[:, [0]] / t_steps[0]) + z
-    chi = _resample_axis(psi_block, pos, 1, order)  # (chunk, 2c-1)
-    s_idx = np.arange(c)
-    table_idx = s_idx[:, None] - s_idx[None, :] + (c - 1)  # (s, t)
-    return np.einsum("xt,xst->s", phi_block, chi[:, table_idx])
-
-
-def _lattice_index(y, axes):
-    idx = []
-    for val, a in zip(y, axes):
-        q = (val - a.lo) / a.step
-        qi = int(round(q))
-        if abs(q - qi) > 1e-9 or not 0 <= qi < a.count:
-            raise GridError(
-                f"output horizontal coordinate {val} is not a lattice point"
-            )
-        idx.append(qi)
-    return np.array(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ from .errors import DimensionError, SkewSymmetryError
 SKEW_RTOL = 1e-12
 
 
+def finite_array(values, what):
+    """``values`` as a float array; DimensionError unless every entry is finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DimensionError(f"{what} must be finite, got {arr.tolist()}")
+    return arr
+
+
 def _as_readonly(a):
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -67,8 +75,8 @@ class StepTwoGroup:
     # -- construction helpers -------------------------------------------------
 
     def point(self, y, t):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        t = np.asarray(t, dtype=float).reshape(-1)
+        y = finite_array(y, "point coordinates").reshape(-1)
+        t = finite_array(t, "point coordinates").reshape(-1)
         if y.size != self.m or t.size != self.r:
             raise DimensionError(
                 f"point must have horizontal length {self.m} and central "
@@ -107,7 +115,7 @@ class StepTwoGroup:
 
     def b_tau(self, tau):
         """The skew matrix sum_beta tau_beta B^beta pairing the center with tau."""
-        tau = np.asarray(tau, dtype=float).reshape(-1)
+        tau = finite_array(tau, "tau").reshape(-1)
         if tau.size != self.r:
             raise DimensionError(f"tau must have length {self.r}, got {tau.size}")
         return np.einsum("b,bkl->kl", tau, self.B)
@@ -158,7 +166,7 @@ def make_group(n, r, B):
     """
     if n < 1 or r < 1:
         raise DimensionError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    mats = np.asarray(B, dtype=float)
+    mats = finite_array(B, "structure matrices")
     if mats.ndim != 3 or mats.shape[0] != r:
         raise DimensionError(
             f"expected {r} structure matrices, got array of shape {mats.shape}"

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTauError, DimensionError, QuadratureError
+from .groups import finite_array
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
 from .spectral import (
     DEGENERACY_RTOL,
@@ -365,8 +366,8 @@ def szego_kernel(k, y, s, level=20, tol=1e-10, max_refine=3):
     of |y|^2 - i tau.s (positive real part for y != 0).
     """
     _check_level(k)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    s = np.asarray(s, dtype=float).reshape(-1)
+    y = finite_array(y, "szego_kernel point").reshape(-1)
+    s = finite_array(s, "szego_kernel point").reshape(-1)
     if y.size != 4 or s.size != 3:
         raise DimensionError("szego_kernel expects y in R^4 and s in R^3")
     if not np.any(y):

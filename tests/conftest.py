@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import steptwo as st
+from steptwo.errors import GridError
 from steptwo.fields import (
     _check_shared_grid,
+    _group_axes,
+    _resample_axis,
     _strided_axes,
     dual_axis_points,
     lattice_points,
@@ -77,6 +80,81 @@ def twisted_direct(f, g, M, out_stride=1):
         phase = np.exp(-1j * np.einsum("bd,xd->bx", y_pts @ twoM, x_pts))
         out[lo_b : lo_b + batch] = np.einsum("bx,bx,x->b", phase, fv, gw)
     return out.reshape(out_counts), out_axes
+
+
+def group_convolve_at(phi, psi, group, points, interp_order=8):
+    """Group convolution by direct quadrature at probe points (slow oracle).
+
+    Evaluates ``int phi(x,t) psi((x,t)^{-1}(y,s)) dx dt`` at each GroupPoint
+    in ``points``, whose horizontal part must lie on the lattice and whose
+    central part may be anywhere.  psi is resampled first, by local
+    Lagrange interpolation along each central axis at the twisted points
+    s - t - 2B(x, y), then summed against phi in chunks of 64 x.
+    """
+    _check_shared_grid(phi, psi)
+    r = group.r
+    y_axes, t_axes = _group_axes(phi, group)
+    y_counts = np.array([a.count for a in y_axes])
+    t_counts = tuple(a.count for a in t_axes)
+    y_zero = np.array([a.zero_index for a in y_axes])
+    t_steps = np.array([a.step for a in t_axes])
+    t_los = np.array([a.lo for a in t_axes])
+
+    y_idx = lattice_points([np.arange(c) for c in y_counts])
+    y_pts = lattice_points([a.points() for a in y_axes])
+    n_x = y_idx.shape[0]
+    phi_xt = phi.values.reshape((n_x,) + t_counts)
+    psi_xt = psi.values.reshape((n_x,) + t_counts)
+    w = phi.cell_volume
+    order = min(interp_order, min(t_counts))
+    x_chunk = 64
+
+    def _accumulate(y_index, y_point, probe_s):
+        # lattice index of y - x and the central twist 2 B(x, y) per x
+        diff = y_index[None, :] - y_idx + y_zero
+        ok = np.all((diff >= 0) & (diff < y_counts), axis=1)
+        xs_all = np.nonzero(ok)[0]
+        hidx_all = np.ravel_multi_index(tuple(diff[xs_all].T), tuple(y_counts))
+        delta_all = 2.0 * np.einsum(
+            "bkl,xk,l->xb", group.B, y_pts[xs_all], y_point
+        )
+        acc = 0.0 + 0.0j
+        for lo in range(0, xs_all.size, x_chunk):
+            xs = xs_all[lo : lo + x_chunk]
+            vals = psi_xt[hidx_all[lo : lo + x_chunk]]
+            delta = delta_all[lo : lo + x_chunk]
+            for beta in range(r):
+                c = t_counts[beta]
+                # source index of coordinate s0 - t_b - delta
+                pos = (
+                    (probe_s[beta] - delta[:, beta] - 2.0 * t_los[beta])
+                    / t_steps[beta]
+                )[:, None] - np.arange(c)[None, :]
+                vals = _resample_axis(vals, pos, 1 + beta, order)
+            acc = acc + (phi_xt[xs] * vals).sum()
+        return acc * w
+
+    return np.array(
+        [
+            _accumulate(
+                _lattice_index(p.y, y_axes), np.asarray(p.y), np.asarray(p.t)
+            )
+            for p in points
+        ]
+    )
+
+
+def _lattice_index(y, axes):
+    idx = []
+    for val, a in zip(y, axes):
+        q = (val - a.lo) / a.step
+        qi = int(round(q))
+        if abs(q - qi) > 1e-9 or not 0 <= qi < a.count:
+            raise GridError(
+                f"output horizontal coordinate {val} is not a lattice point"
+            )
+        idx.append(qi)
+    return np.array(idx)
 
 
 def abel_partial_sum(f, group, R, terms):

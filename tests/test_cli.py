@@ -274,7 +274,7 @@ def test_tensor_subcommands(tmp_path, capsys):
     assert np.isfinite(entries).all()
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "steptwo.cli", "nonsense"],
         capture_output=True,
@@ -286,6 +286,53 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             run(["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,0", *extra])
         assert exc.value.code == 2
+    monkeypatch.setenv("STEPTWO_THREADS", "x")
+    with pytest.raises(SystemExit) as exc:
+        run(["selftest", "all"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["spectral", "normalize", "--group", "preset:heisenberg-1", "--tau", "nan"],
+         "--tau"),
+        (["spectral", "normalize", "--group", "preset:quaternionic-heisenberg",
+          "--tau", "inf,0,0"], "--tau"),
+        (["spectral", "normalize", "--group", "preset:heisenberg-1", "--tau", "abc"],
+         "--tau"),
+        (["group", "--group", "NAN_GROUP"], "finite"),
+        (["fundamental", "--group", "preset:heisenberg-1", "--point", "nan,0,0"],
+         "--point"),
+        (["szego", "--k", "1", "--y", "nan,0,0,0", "--s", "0,0,0"], "--y"),
+        (["laguerre", "field", "--group", "preset:heisenberg-1", "--tau", "1",
+          "--k", "0", "--p", "x", "--out", "OUT"], "--p"),
+        (["fundamental", "--group", "preset:heisenberg-1", "--point", "0,0,1",
+          "--grid", "6"], "--grid"),
+        (["spectral", "scan", "--group", "preset:heisenberg-1", "--samples", "-3"],
+         "--samples"),
+        (["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,1",
+          "--radial", "0"], "--radial"),
+        (["laguerre", "eval", "--k", "1", "--p", "0", "--sigma", "nan"], "--sigma"),
+        (["spectral", "scan", "--group", "preset:heisenberg-1", "--seed", "-3"],
+         "--seed"),
+        (["spectral", "normalize", "--group", "preset:heisenberg-1", "--tau", "1",
+          "--tol", "nan"], "--tol"),
+    ],
+)
+def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
+    nan_group = tmp_path / "nan.json"
+    nan_group.write_text('{"n": 1, "r": 1, "B": [[NaN]]}')
+    paths = {"NAN_GROUP": str(nan_group), "OUT": str(tmp_path / "out.csv")}
+    try:
+        code = run([paths.get(a, a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (1, 2), (code, err)
+    assert "Traceback" not in err
+    assert code != 0 or "nan" not in out.lower()
+    assert names in err
 
 
 def test_closed_stdout_ends_quietly():

@@ -15,6 +15,7 @@ from steptwo.fields import (
 from conftest import (
     abel_partial_sum,
     axis_derivative_4th,
+    group_convolve_at,
     random_skew_group,
     twisted_direct,
 )
@@ -471,9 +472,35 @@ class TestGroupConvolution:
         ys, ss = ay.points(), at.points()
         idx = [(6, 5, 6, 6), (5, 7, 4, 7), (7, 6, 8, 5), (6, 6, 5, 3)]
         probes = [g.point([ys[i], ys[j]], [ss[k], ss[l]]) for i, j, k, l in idx]
-        direct = st.group_convolve(phi, psi, g, out_points=probes)
+        direct = group_convolve_at(phi, psi, g, probes)
         fv = np.array([four.values[i] for i in idx])
         assert np.abs(fv - direct).max() < 1e-2 * np.abs(direct).max()
+
+    def test_full_grid_any_center(self, rng):
+        # r = 2 on the full grid against the probe oracle at lattice points;
+        # the wide central profile keeps the fields large at the window
+        # edge, where a too short FFT would wrap
+        g = random_skew_group(rng, n=1, r=2)
+        ay, at = symmetric_axis(4.0, 12), symmetric_axis(6.0, 12)
+        axes = (ay, ay, at, at)
+        phi, psi = (
+            SampledField.from_function(
+                axes,
+                lambda p, a=a, b=b: np.exp(
+                    -a * np.sum(p[..., :2] ** 2, -1)
+                    - 0.03 * np.sum(p[..., 2:] ** 2, -1)
+                )
+                * (1 + b * p[..., 0] + 0.3j * p[..., 3]),
+            )
+            for a, b in ((1.0, 0.5), (0.8, -0.4))
+        )
+        full = st.group_convolve(phi, psi, g)
+        ys, ss = ay.points(), at.points()
+        idx = [(6, 5, 6, 6), (5, 7, 4, 7), (7, 6, 8, 5), (2, 9, 1, 11), (0, 11, 0, 0)]
+        probes = [g.point([ys[i], ys[j]], [ss[k], ss[l]]) for i, j, k, l in idx]
+        oracle = group_convolve_at(phi, psi, g, probes)
+        fv = np.array([full.values[i] for i in idx])
+        assert np.abs(fv - oracle).max() < 1e-10 * np.abs(oracle).max()
 
     def test_probe_points_match_full_grid(self, h1):
         axes = (symmetric_axis(5.0, 16),) * 2 + (symmetric_axis(8.0, 16),)
@@ -485,7 +512,7 @@ class TestGroupConvolution:
             h1.point([ys[6], ys[9]], [ss[7]]),
             h1.point([ys[8], ys[8]], [0.123]),  # central part off the lattice
         ]
-        vals = st.group_convolve(phi, psi, h1, out_points=probes)
+        vals = group_convolve_at(phi, psi, h1, probes)
         assert vals[0] == pytest.approx(full.values[6, 9, 7], rel=1e-10)
 
     def test_quaternionic_intertwining_at_probes(self, quat):
@@ -513,7 +540,7 @@ class TestGroupConvolution:
             quat.point([iy[6], iy[4], iy[5], iy[5]], [0.3, -0.2, 0.1]),
             quat.point([iy[5], iy[6], iy[4], iy[5]], [0.0, 0.4, -0.3]),
         ]
-        direct = st.group_convolve(phi, psi, quat, out_points=probes, interp_order=6)
+        direct = group_convolve_at(phi, psi, quat, probes, interp_order=6)
 
         taus = dual_axis_points(axs)
         tau_grid = np.stack(

@@ -29,6 +29,11 @@ def test_make_group_rejects_bad_shapes():
         st.make_group(1, 1, [np.zeros((3, 3))])
     with pytest.raises(st.DimensionError):
         st.make_group(0, 1, [J2])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(st.DimensionError, match="finite"):
+            st.make_group(1, 1, [[[0.0, bad], [-bad, 0.0]]])
+    with pytest.raises(st.DimensionError, match="finite"):
+        st.group_from_dict({"n": 1, "r": 1, "B": [[float("nan")]]})
 
 
 def test_quaternionic_preset_relations(quat):
@@ -122,6 +127,9 @@ def test_b_tau_properties(rng, quat):
     np.testing.assert_array_equal(quat.b_tau([0, 0, 0]), np.zeros((4, 4)))
     with pytest.raises(st.DimensionError):
         quat.b_tau([1.0, 2.0])
+    for bad in ([np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 1]):
+        with pytest.raises(st.DimensionError, match="finite"):
+            quat.b_tau(bad)
 
 
 def test_vector_field_coefficients(h1):
@@ -180,6 +188,11 @@ def test_json_roundtrip_and_triangle(tmp_path, quat):
 def test_point_validation(h1):
     with pytest.raises(st.DimensionError):
         h1.point([1.0], [0.0])
+    for y, t in (([np.nan, 0.0], [0.0]), ([0.0, 1.0], [np.inf])):
+        with pytest.raises(st.DimensionError, match="finite"):
+            h1.point(y, t)
+    with pytest.raises(st.DimensionError, match="finite"):
+        st.fundamental_solution(h1, [np.nan, 0.0], [0.0])
     q = st.quaternionic_heisenberg()
     with pytest.raises(st.DimensionError, match="does not belong"):
         h1.multiply(h1.origin(), q.origin())

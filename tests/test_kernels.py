@@ -254,6 +254,9 @@ class TestSzego:
         )
         with pytest.raises(st.DimensionError, match="max_refine"):
             st.szego_kernel(1, [1.0, 0, 0, 0], [0.0, 0, 0], max_refine=0)
+        for y, s in (([np.nan, 0, 0, 0], [0.0, 0, 0]), ([1.0, 0, 0, 0], [0, np.inf, 0])):
+            with pytest.raises(st.DimensionError, match="finite"):
+                st.szego_kernel(1, y, s)
 
     def test_kernel_value_at_zero_central(self):
         for y in ([1.0, 0, 0, 0], [0.3, 0.5, -0.7, 0.2]):
