@@ -436,69 +436,26 @@ def twisted_convolve_1d(f, g, tau, out_stride=1):
 
 
 # ---------------------------------------------------------------------------
-# local Lagrange resampling (for the off-lattice central twist)
-# ---------------------------------------------------------------------------
-
-
-def _resample_axis(block, positions, ax, order):
-    """Interpolate ``block`` along axis ``ax`` at fractional sample indices.
-
-    ``block`` has a leading chunk dimension; ``positions`` is (chunk, c_out)
-    and gives, per chunk element, the real-valued source indices to read.
-    Local Lagrange interpolation with ``order`` taps, zero outside.
-    """
-    chunk, c_out = positions.shape
-    c_in = block.shape[ax]
-    base = np.floor(positions).astype(int) - (order // 2 - 1)
-    rel = positions - base  # in [order//2 - 1, order//2), per tap offsets 0..order-1
-    nodes = np.arange(order)
-    taps = np.ones(positions.shape + (order,))
-    for i in range(order):
-        for j in range(order):
-            if j != i:
-                taps[..., i] *= (rel - nodes[j]) / (nodes[i] - nodes[j])
-
-    lowest = int(base.min())
-    highest = int(base.max()) + order - 1
-    off = max(0, -lowest)
-    width = off + max(c_in, highest + 1) + 1
-    pad_shape = list(block.shape)
-    pad_shape[ax] = width
-    padded = np.zeros(pad_shape, dtype=block.dtype)
-    sl = [slice(None)] * block.ndim
-    sl[ax] = slice(off, off + c_in)
-    padded[tuple(sl)] = block
-
-    moved = np.moveaxis(padded, ax, 1)  # (chunk, width, rest...)
-    rest = moved.shape[2:]
-    out = np.zeros((chunk, c_out) + rest, dtype=block.dtype)
-    for s in range(order):
-        src = base + s + off  # (chunk, c_out)
-        idx = src.reshape((chunk, c_out) + (1,) * len(rest))
-        gathered = np.take_along_axis(moved, idx, axis=1)
-        out += gathered * taps[..., s].reshape((chunk, c_out) + (1,) * len(rest))
-    return np.moveaxis(out, 1, ax)
-
-
-# ---------------------------------------------------------------------------
 # group convolution (direct quadrature)
 # ---------------------------------------------------------------------------
 
 
-def group_convolve(phi, psi, group, interp_order=8):
+def group_convolve(phi, psi, group):
     """Group convolution by direct quadrature over the sampled lattice.
 
     Evaluates ``int phi(x,t) psi((x,t)^{-1}(y,s)) dx dt`` on the full grid,
     for any center dimension.  The horizontal shift y - x stays on the
     lattice; the central argument s - t - 2B(x, y) leaves it.  For each
     pair (x, y) the sum over t is the linear convolution of the central
-    slices phi[x] and psi[y - x], zero outside the window, done by FFT at
-    the alias-free length 2c - 1 per axis; its entry m sits at
-    2 lo + m step.  Local Lagrange interpolation with ``interp_order`` taps
-    reads it at s - 2B(x, y), one central axis at a time.  Interpolation at
-    one offset commutes with the zero-extended lattice convolution, so this
-    is the sum that resamples psi at the twisted points first.  Desk-scale
-    only: O(N^2 c^r log c) for N horizontal and c^r central grid points.
+    slices phi[x] and psi[y - x], zero outside the window, at the
+    alias-free FFT length L = 2c - 1 per axis; its entry m sits at
+    2 lo + m step.  The twist 2B(x, y) / step splits into a nearest integer
+    k and a fraction f with |f| <= 1/2: the phase exp(-2 pi i omega f) on
+    the spectrum shifts the trigonometric interpolant of the convolution
+    by -f, and entry i + zero_index - k of the inverse transform is its
+    value at s_i - 2B(x, y), zero where that entry leaves [0, L).  L is
+    odd, so real data reads real.  Desk-scale only: O(N^2 c^r log c) for N
+    horizontal and c^r central grid points.
     """
     _check_shared_grid(phi, psi)
     y_axes, t_axes = _group_axes(phi, group)
@@ -508,7 +465,6 @@ def group_convolve(phi, psi, group, interp_order=8):
     t_steps = np.array([a.step for a in t_axes])
     pad = tuple(2 * c - 1 for c in t_counts)
     central = tuple(range(1, 1 + group.r))
-    order = min(interp_order, min(t_counts))
 
     y_idx = lattice_points([np.arange(c) for c in y_counts])
     y_pts = lattice_points([a.points() for a in y_axes])
@@ -517,6 +473,7 @@ def group_convolve(phi, psi, group, interp_order=8):
         np.fft.fftn(f.values.reshape((n_y,) + t_counts), s=pad, axes=central)
         for f in (phi, psi)
     )
+    freqs = [np.fft.fftfreq(L) for L in pad]
     # convolution index of s_i - 2 lo before the twist: i + zero_index
     untwisted = [np.arange(a.count) + a.zero_index for a in t_axes]
     chunk = max(1, _FFT_CHUNK_ELEMENTS // int(np.prod(pad)))
@@ -530,15 +487,24 @@ def group_convolve(phi, psi, group, interp_order=8):
             2.0 * np.einsum("bkl,xk,l->xb", group.B, y_pts[xs], y_pts[row])
             / t_steps
         )
+        whole = np.rint(twist).astype(int)
+        frac = twist - whole
         acc = np.zeros(t_counts, dtype=complex)
         for lo in range(0, len(xs), chunk):
             b = slice(lo, lo + chunk)
-            conv = np.fft.ifftn(
-                phi_hat[xs[b]] * psi_hat[shifted[b]], axes=central
-            )
-            for beta in range(group.r):
-                pos = untwisted[beta][None, :] - twist[b, beta, None]
-                conv = _resample_axis(conv, pos, 1 + beta, order)
+            conv = phi_hat[xs[b]] * psi_hat[shifted[b]]
+            for beta, ax in enumerate(central):
+                # one axis at a time: shift by -f, invert, read i + zero - k
+                shape = [1] * conv.ndim
+                shape[0], shape[ax] = -1, pad[beta]
+                phase = np.exp(-2j * np.pi * np.outer(frac[b, beta], freqs[beta]))
+                conv = np.fft.ifft(conv * phase.reshape(shape), axis=ax)
+                idx = untwisted[beta][None, :] - whole[b, beta, None]
+                inside = (idx >= 0) & (idx < pad[beta])
+                shape[ax] = t_counts[beta]
+                conv = np.take_along_axis(
+                    conv, np.clip(idx, 0, pad[beta] - 1).reshape(shape), axis=ax
+                ) * inside.reshape(shape)
             acc += conv.sum(axis=0)
         out[row] = acc * phi.cell_volume
     return SampledField(

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DegenerateTauError, DimensionError
+from .groups import finite_array
 
 
 def laguerre_poly(k, p, sigma):
@@ -26,7 +27,7 @@ def laguerre_poly(k, p, sigma):
     """
     if k < 0 or p < 0:
         raise DimensionError(f"laguerre_poly needs k, p >= 0, got k={k}, p={p}")
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = finite_array(sigma, "sigma")
     prev = np.ones_like(sigma)
     if k == 0:
         return prev
@@ -45,7 +46,7 @@ def laguerre_l(k, p, sigma):
     """
     if k < 0 or p < 0:
         raise DimensionError(f"laguerre_l needs k, p >= 0, got k={k}, p={p}")
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = finite_array(sigma, "sigma")
     log_ratio = 0.5 * (gammaln(k + 1) - gammaln(k + p + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_weight = np.where(

@@ -10,7 +10,6 @@ from steptwo.errors import GridError
 from steptwo.fields import (
     _check_shared_grid,
     _group_axes,
-    _resample_axis,
     _strided_axes,
     dual_axis_points,
     lattice_points,
@@ -82,57 +81,72 @@ def twisted_direct(f, g, M, out_stride=1):
     return out.reshape(out_counts), out_axes
 
 
-def group_convolve_at(phi, psi, group, points, interp_order=8):
+def dirichlet_kernel(u, L):
+    """Periodic Dirichlet kernel sin(pi u) / (L sin(pi u / L)) for odd L.
+
+    The trigonometric interpolant of samples v[n] of period L is
+    sum_n v[n] D(u - n); D is 1 at multiples of L and 0 at other integers.
+    """
+    u = u - L * np.rint(u / L)
+    return np.sinc(u) / np.sinc(u / L)
+
+
+def group_convolve_at(phi, psi, group, points):
     """Group convolution by direct quadrature at probe points (slow oracle).
 
     Evaluates ``int phi(x,t) psi((x,t)^{-1}(y,s)) dx dt`` at each GroupPoint
     in ``points``, whose horizontal part must lie on the lattice and whose
-    central part may be anywhere.  psi is resampled first, by local
-    Lagrange interpolation along each central axis at the twisted points
-    s - t - 2B(x, y), then summed against phi in chunks of 64 x.
+    central part may be anywhere.  Per central axis, psi[y - x], zero-padded
+    to period L = 2c - 1, is read at the twisted points s - t - 2B(x, y)
+    through the Dirichlet kernel: one (c, c) matrix per valid x, without an
+    FFT.  The twist splits into its nearest integer k and a fraction, and
+    s into its nearest lattice index i and a fraction; the read is zero
+    unless i + zero_index - k lies in [0, L).  The result is summed against
+    phi in chunks of 64 x.
     """
     _check_shared_grid(phi, psi)
-    r = group.r
     y_axes, t_axes = _group_axes(phi, group)
     y_counts = np.array([a.count for a in y_axes])
     t_counts = tuple(a.count for a in t_axes)
     y_zero = np.array([a.zero_index for a in y_axes])
-    t_steps = np.array([a.step for a in t_axes])
-    t_los = np.array([a.lo for a in t_axes])
 
     y_idx = lattice_points([np.arange(c) for c in y_counts])
     y_pts = lattice_points([a.points() for a in y_axes])
     n_x = y_idx.shape[0]
     phi_xt = phi.values.reshape((n_x,) + t_counts)
     psi_xt = psi.values.reshape((n_x,) + t_counts)
-    w = phi.cell_volume
-    order = min(interp_order, min(t_counts))
     x_chunk = 64
 
     def _accumulate(y_index, y_point, probe_s):
-        # lattice index of y - x and the central twist 2 B(x, y) per x
         diff = y_index[None, :] - y_idx + y_zero
-        ok = np.all((diff >= 0) & (diff < y_counts), axis=1)
-        xs_all = np.nonzero(ok)[0]
+        xs_all = np.nonzero(np.all((diff >= 0) & (diff < y_counts), axis=1))[0]
         hidx_all = np.ravel_multi_index(tuple(diff[xs_all].T), tuple(y_counts))
-        delta_all = 2.0 * np.einsum(
-            "bkl,xk,l->xb", group.B, y_pts[xs_all], y_point
-        )
+        twist_all = 2.0 * np.einsum("bkl,xk,l->xb", group.B, y_pts[xs_all], y_point)
         acc = 0.0 + 0.0j
         for lo in range(0, xs_all.size, x_chunk):
             xs = xs_all[lo : lo + x_chunk]
             vals = psi_xt[hidx_all[lo : lo + x_chunk]]
-            delta = delta_all[lo : lo + x_chunk]
-            for beta in range(r):
-                c = t_counts[beta]
-                # source index of coordinate s0 - t_b - delta
-                pos = (
-                    (probe_s[beta] - delta[:, beta] - 2.0 * t_los[beta])
-                    / t_steps[beta]
-                )[:, None] - np.arange(c)[None, :]
-                vals = _resample_axis(vals, pos, 1 + beta, order)
-            acc = acc + (phi_xt[xs] * vals).sum()
-        return acc * w
+            keep = np.ones(len(xs), dtype=bool)
+            for beta, a in enumerate(t_axes):
+                L = 2 * a.count - 1
+                twist = twist_all[lo : lo + x_chunk, beta] / a.step
+                k = np.rint(twist)
+                u = (probe_s[beta] - a.lo) / a.step
+                m = np.rint(u) + a.zero_index - k
+                keep &= (m >= 0) & (m < L)
+                # phi entry j meets psi entry n at position pos - j - n
+                pos = m - (twist - k) + (u - np.rint(u))
+                j = np.arange(a.count)
+                W = dirichlet_kernel(
+                    pos[:, None, None] - j[None, :, None] - j[None, None, :], L
+                )
+                vals = np.moveaxis(
+                    np.einsum("xjn,xn...->xj...", W, np.moveaxis(vals, 1 + beta, 1)),
+                    1,
+                    1 + beta,
+                )
+            acc = acc + (phi_xt[xs][keep] * vals[keep]).sum()
+        return acc * phi.cell_volume
 
     return np.array(
         [

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import steptwo as st
 from steptwo.cli import run
@@ -358,3 +362,63 @@ def test_selftest_smoke(capsys):
     assert code == 0
     assert "result=PASS" in out
     assert all(line.startswith(("PASS", "suite=")) for line in out.strip().splitlines())
+
+
+# option values as text: numbers of every kind (NaN, infinities, the
+# extremes of float) mixed with text argparse must reject
+_number_text = hs.one_of(
+    hs.floats().map(repr),
+    hs.integers(-4, 4).map(str),
+    hs.sampled_from(["", "abc", "1e999", "-0", "0x1", " 1", "1,", ",,"]),
+)
+
+
+def _vector_text(size):
+    """A comma-separated list: often ``size`` moderate numbers, else anything."""
+    return hs.one_of(
+        hs.lists(hs.floats(-3.0, 3.0), min_size=size, max_size=size),
+        hs.lists(_number_text, max_size=5),
+    ).map(lambda v: ",".join(map(str, v)))
+
+
+_int_text = hs.one_of(
+    hs.integers(-3, 6).map(str), hs.sampled_from(["", "x", "1.5", "1e3"])
+)
+
+
+@hs.composite
+def _fuzzed_argv(draw):
+    command = draw(hs.sampled_from(["normalize", "scan", "fundamental", "szego"]))
+    if command == "normalize":
+        group = draw(hs.sampled_from(["heisenberg-1", "quaternionic-heisenberg"]))
+        return ["spectral", "normalize", "--group", f"preset:{group}",
+                "--tau", draw(_vector_text(1 if group == "heisenberg-1" else 3))]
+    if command == "scan":
+        samples = draw(hs.one_of(hs.integers(-3, 40).map(str), _int_text))
+        return ["spectral", "scan", "--group", "preset:heisenberg-1",
+                "--samples", samples]
+    if command == "fundamental":
+        argv = ["fundamental", "--group", "preset:heisenberg-1",
+                "--point", draw(_vector_text(3)), "--radial", "40"]
+        if draw(hs.booleans()):
+            # a few lattice points at most: each is one kernel quadrature
+            radius = draw(hs.one_of(hs.floats(-1.0, 3.0), hs.just(float("nan"))))
+            count = draw(hs.integers(-1, 3))
+            argv += ["--grid", draw(hs.sampled_from([f"{radius},{count}", "2", "a,b"]))]
+        return argv
+    return ["szego", "--k", draw(_int_text), "--y", draw(_vector_text(4)),
+            "--s", draw(_vector_text(3))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_argv())
+def test_fuzzed_option_values_are_clean(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert code != 0 or "nan" not in out.getvalue().lower(), argv

@@ -7,9 +7,11 @@ import steptwo as st
 from steptwo.fields import (
     Axis,
     SampledField,
+    _ft_axes,
     _isotropic_split,
     abel_multiplier,
     dual_axis_points,
+    lattice_points,
     symmetric_axis,
 )
 from conftest import (
@@ -385,6 +387,12 @@ class TestTwistedConvolution:
 
 
 class TestGroupConvolution:
+    @staticmethod
+    def _psi(p):
+        return np.exp(
+            -0.9 * ((p[..., 0] - 0.3) ** 2 + p[..., 1] ** 2) - 0.6 * p[..., 2] ** 2
+        )
+
     def _test_fields(self, axes):
         phi = SampledField.from_function(
             axes,
@@ -393,14 +401,7 @@ class TestGroupConvolution:
             )
             * (1 + 0.5 * p[..., 0]),
         )
-        psi = SampledField.from_function(
-            axes,
-            lambda p: np.exp(
-                -0.9 * ((p[..., 0] - 0.3) ** 2 + p[..., 1] ** 2)
-                - 0.6 * p[..., 2] ** 2
-            ),
-        )
-        return phi, psi
+        return phi, SampledField.from_function(axes, self._psi)
 
     def test_intertwining_with_twisted_convolution(self, h1):
         axes = (symmetric_axis(5.0, 24),) * 2 + (symmetric_axis(10.0, 28),)
@@ -515,6 +516,27 @@ class TestGroupConvolution:
         vals = group_convolve_at(phi, psi, h1, probes)
         assert vals[0] == pytest.approx(full.values[6, 9, 7], rel=1e-10)
 
+    def test_direct_path_is_spectrally_accurate(self, h1):
+        # the Riemann sum with psi in closed form at the twisted points
+        # s - t - 2B(x, y); y - x stays inside the window, and the central
+        # window is wide enough that psi vanishes at its edge
+        ay, at = symmetric_axis(5.0, 16), symmetric_axis(8.0, 32)
+        axes = (ay, ay, at)
+        phi, psi = self._test_fields(axes)
+        full = st.group_convolve(phi, psi, h1)
+        mesh = phi.mesh()
+        x, t = mesh[..., :2], mesh[..., 2]
+        ys, ss = ay.points(), at.points()
+        errs = []
+        for i, j, k in ((8, 8, 16), (10, 7, 19), (5, 10, 12), (9, 11, 15)):
+            y = np.array([ys[i], ys[j]])
+            inside = np.all((y - x > ay.lo - 1e-9) & (y - x < ay.hi + 1e-9), -1)
+            twist = 2.0 * np.einsum("kl,...k,l->...", h1.B[0], x, y)
+            arg = np.concatenate([y - x, (ss[k] - t - twist)[..., None]], -1)
+            ref = (phi.values * self._psi(arg))[inside].sum() * phi.cell_volume
+            errs.append(abs(full.values[i, j, k] - ref))
+        assert max(errs) < 1e-10 * np.abs(full.values).max()
+
     def test_quaternionic_intertwining_at_probes(self, quat):
         # 7-dimensional check: direct lattice quadrature at probe points vs
         # the twisted-convolution composition inverted over the dual lattice
@@ -540,38 +562,32 @@ class TestGroupConvolution:
             quat.point([iy[6], iy[4], iy[5], iy[5]], [0.3, -0.2, 0.1]),
             quat.point([iy[5], iy[6], iy[4], iy[5]], [0.0, 0.4, -0.3]),
         ]
-        direct = group_convolve_at(phi, psi, quat, probes, interp_order=6)
+        direct = group_convolve_at(phi, psi, quat, probes)
 
         taus = dual_axis_points(axs)
-        tau_grid = np.stack(
-            np.meshgrid(taus, taus, taus, indexing="ij"), -1
-        ).reshape(-1, 3)
+        tau_grid = lattice_points([taus] * 3)
+        # one central transform per field: column q is its partial Fourier
+        # transform at tau_grid[q]
+        ft_phi, ft_psi = (
+            _ft_axes(f.values, axes[4:], 4).reshape(axy.count**4, -1)
+            for f in (phi, psi)
+        )
+        x_pts = lattice_points([axy.points()] * 4)
+        cell = axy.step**4
         dv = (2 * np.pi / (axs.count * axs.step)) ** 3
-        x_pts = None
         recon = np.zeros(len(probes), dtype=complex)
-        for tau in tau_grid:
-            ft_phi = st.partial_fourier(phi, tau)
-            ft_psi = st.partial_fourier(psi, tau)
-            if x_pts is None:
-                x_pts = ft_psi.flat_points()
-                counts = np.array([a.count for a in ft_phi.axes])
-                los = np.array([a.lo for a in ft_phi.axes])
-                steps = np.array([a.step for a in ft_phi.axes])
-            M = quat.b_tau(tau)
-            for i, p in enumerate(probes):
-                yy = np.asarray(p.y)
+        for i, p in enumerate(probes):
+            yy = np.asarray(p.y)
+            kidx = np.rint((yy[None, :] - x_pts - axy.lo) / axy.step).astype(int)
+            ok = np.all((kidx >= 0) & (kidx < axy.count), axis=1)
+            flat = np.ravel_multi_index(
+                tuple(np.clip(kidx, 0, axy.count - 1).T), (axy.count,) * 4
+            )
+            for q, tau in enumerate(tau_grid):
+                M = quat.b_tau(tau)
                 phase = np.exp(-2j * (yy @ M @ x_pts.T))
-                kidx = np.rint((yy[None, :] - x_pts - los) / steps).astype(int)
-                ok = np.all((kidx >= 0) & (kidx < counts), axis=1)
-                flat = np.ravel_multi_index(
-                    tuple(np.clip(kidx, 0, counts - 1).T),
-                    ft_phi.values.shape,
-                    mode="clip",
-                )
-                fv = np.where(ok, ft_phi.values.reshape(-1)[flat], 0.0)
-                tval = (
-                    phase * fv * ft_psi.values.reshape(-1)
-                ).sum() * ft_phi.cell_volume
+                fv = np.where(ok, ft_phi[flat, q], 0.0)
+                tval = (phase * fv * ft_psi[:, q]).sum() * cell
                 recon[i] += np.exp(1j * np.dot(p.t, tau)) * tval
         recon *= dv / (2 * np.pi) ** 3
         assert np.abs(direct - recon).max() < 0.03 * np.abs(direct).max()

@@ -55,6 +55,11 @@ class TestPolynomials:
             st.laguerre_poly(-1, 0, 1.0)
         with pytest.raises(st.DimensionError):
             st.laguerre_l(0, -2, 1.0)
+        # a non-finite argument is bad input too, not a NaN result
+        for fn in (st.laguerre_poly, st.laguerre_l):
+            for sigma in (np.nan, np.inf, -np.inf, [0.5, np.nan]):
+                with pytest.raises(st.DimensionError, match="sigma"):
+                    fn(2, 1, sigma)
 
 
 class TestNormalizedFunctions:
