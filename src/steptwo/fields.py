@@ -134,9 +134,16 @@ class SampledField:
 
     @classmethod
     def from_function(cls, axes, fn, group=None, tau=None):
-        """Sample fn on the grid; fn maps an (..., ndim) array to values."""
+        """Sample fn on the grid, one slab of the first axis at a time.
+
+        ``fn`` maps an (..., ndim) array of points to values; it must be
+        pointwise, its value at a point depending on that point only.
+        """
         axes = tuple(axes)
-        vals = np.asarray(fn(_mesh(axes)), dtype=complex)
+        vals = np.empty(tuple(a.count for a in axes), dtype=complex)
+        rest = np.meshgrid(*(a.points() for a in axes[1:]), indexing="ij", sparse=True)
+        for i, x in enumerate(axes[0].points()):
+            vals[i] = fn(np.stack(np.broadcast_arrays(x, *rest), axis=-1))
         return cls(axes=axes, values=vals, group=group, tau=tau)
 
     def with_values(self, values):

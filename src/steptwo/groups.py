@@ -114,11 +114,16 @@ class StepTwoGroup:
         return self.point(lam * p.y, lam * lam * p.t)
 
     def b_tau(self, tau):
-        """The skew matrix sum_beta tau_beta B^beta pairing the center with tau."""
-        tau = finite_array(tau, "tau").reshape(-1)
-        if tau.size != self.r:
-            raise DimensionError(f"tau must have length {self.r}, got {tau.size}")
-        return np.einsum("b,bkl->kl", tau, self.B)
+        """The skew matrix sum_beta tau_beta B^beta pairing the center with tau.
+
+        Batched: tau of shape (..., r) gives (..., 2n, 2n); a scalar is
+        accepted for r = 1.
+        """
+        tau = finite_array(tau, "tau")
+        tau = tau.reshape(-1) if tau.ndim < 2 else tau
+        if tau.shape[-1] != self.r:
+            raise DimensionError(f"tau must have length {self.r}, got {tau.shape[-1]}")
+        return np.einsum("...b,bkl->...kl", tau, self.B)
 
     def vector_field_coefficients(self, k, p):
         """Coefficients of the left-invariant horizontal field with index k.

@@ -17,12 +17,7 @@ import numpy as np
 from .errors import DegenerateTauError, DimensionError, QuadratureError
 from .groups import finite_array
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
-from .spectral import (
-    DEGENERACY_RTOL,
-    _degenerate,
-    _negative_eigenpairs,
-    normalize,
-)
+from .spectral import DEGENERACY_RTOL, _checked_spectrum
 
 # ---------------------------------------------------------------------------
 # the sub-Laplacian's diagonal symbol
@@ -72,31 +67,40 @@ def sublap_inverse_symbol(sym):
 # ---------------------------------------------------------------------------
 
 
+def _plane_energies(V, y):
+    """Energy 2 |v_j^* y|^2 of y in each invariant plane, batched like V."""
+    return 2.0 * np.abs(np.einsum("...kj,k->...j", V.conj(), y)) ** 2
+
+
+def _spectral_integrand(mu, a, t_tau, power, jacobian=1.0):
+    """prod_j x/sinh(x) / (sum_j x coth(x) a_j + i t.tau)^power at x = mu_j.
+
+    The last axis of mu and of the plane energies a runs over j.  A
+    quadrature ``jacobian`` multiplies the determinant factor first.
+    """
+    det_factor = np.prod(x_over_sinh(mu), axis=-1)
+    quad = np.einsum("...j,...j->...", x_coth(mu), a)
+    base = quad + 1j * t_tau
+    return jacobian * det_factor * np.exp(-power * np.log(base))
+
+
 def fs_integrand(group, tau, y, t):
     """Integrand of the fundamental-solution formula at frequency tau.
 
-    det[|B|/sinh|B|]^(1/2) / (<|B| coth|B| y, y> + i t.tau)^(n+r-1),
-    evaluated spectrally through the tau-frame.  The complex power uses
-    the principal branch; its base has positive real part for y != 0.
+    det[|B|/sinh|B|]^(1/2) / (<|B| coth|B| y, y> + i t.tau)^(n+r-1) from
+    the spectrum of B_tau, principal branch (the base has positive real
+    part for y != 0).  At tau = 0 both hyperbolic factors tend to 1: the
+    same formula with mu = 0 and all of |y|^2 in one plane.
     """
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    n, r = group.n, group.r
-    power = n + r - 1
-    if not np.any(tau):
-        # smooth tau -> 0 limit: both hyperbolic factors tend to 1
-        base = float(y @ y) + 1j * float(t @ tau)
-        return _principal_power(base, -power)
-    frame = normalize(group, tau)
-    a = np.abs(frame.complex_tau_coordinates(y)) ** 2
-    det_factor = float(np.prod(x_over_sinh(frame.mu)))
-    base = float(np.sum(x_coth(frame.mu) * a)) + 1j * float(t @ tau)
-    return det_factor * _principal_power(base, -power)
-
-
-def _principal_power(base, expo):
-    return np.exp(expo * np.log(base + 0j))
+    tau, y, t = (np.asarray(v, dtype=float).reshape(-1) for v in (tau, y, t))
+    if np.any(tau):
+        _, mu, V, _, _ = _checked_spectrum(group, tau, DEGENERACY_RTOL)
+        a = _plane_energies(V, y)
+    else:
+        mu, a = np.zeros(group.n), np.zeros(group.n)
+        a[0] = y @ y
+    power = group.n + group.r - 1
+    return complex(_spectral_integrand(mu, a, float(t @ tau), power))
 
 
 @dataclass(frozen=True)
@@ -129,48 +133,34 @@ def _refine(run_pass, max_refine, tol, what):
     )
 
 
-def _sphere_spectra(group, pts):
-    """Eigenvalue magnitudes and plane energies of y for unit frequencies.
-
-    Batched over the sphere nodes; the energy of y in the j-th invariant
-    plane is 2 |v_j^* y|^2 for a unit complex eigenvector v_j, so no frame
-    assembly or phase convention is needed here.
-    """
-    mu, V = _negative_eigenpairs(np.einsum("sb,bkl->skl", pts, group.B))
-    bad = pts[_degenerate(mu, DEGENERACY_RTOL).any(axis=1)]
-    if bad.size:
-        raise DegenerateTauError(
-            f"skew form degenerates on the sphere near tau = {bad[0].tolist()}"
-        )
-    return mu, V
+# element budget of one chunk of sphere nodes in the (sphere x radial x n)
+# integrand temporaries; bounds a pass's working memory
+_SPHERE_CHUNK_ELEMENTS = 2**18
 
 
-def _fs_quadrature(group, y, t, radial, sphere_level, abel=None):
+def _fs_quadrature(group, y, t, radial, sphere_level):
     """One pass of the radial x spherical quadrature at fixed resolution."""
     n, r = group.n, group.r
     power = n + r - 1
     pts, wts = sphere_rule(r, sphere_level)
-    mu, vecs = _sphere_spectra(group, pts)
-    a = 2.0 * np.abs(np.einsum("skj,k->sj", vecs.conj(), y)) ** 2
+    _, mu, V, _, _ = _checked_spectrum(group, pts, DEGENERACY_RTOL)
+    a = _plane_energies(V, y)
     ts = pts @ t
 
     # per-node radial rule, compactified against the node's decay rate
     rho, rw = radial_nodes(radial, np.sum(mu, axis=1))
 
-    arg = rho[:, :, None] * mu[:, None, :]  # (sphere, radial, n)
-    if abel is None:
-        det_factor = np.prod(x_over_sinh(arg), axis=2)
-        quad = np.einsum("sij,sj->si", x_coth(arg), a)
-    else:
-        # Abel-regularized family: R < 1 damps the series the limit sums
-        R = abel
-        e = np.exp(-arg)
-        det_factor = np.prod(2.0 * arg * e / (1.0 - R * e * e), axis=2)
-        quad = np.einsum(
-            "sij,sj->si", arg * (1.0 + R * e * e) / (1.0 - R * e * e), a
+    vals = np.empty(rho.shape, dtype=complex)
+    chunk = max(1, _SPHERE_CHUNK_ELEMENTS // (rho.shape[1] * n))
+    for lo in range(0, len(pts), chunk):
+        s = slice(lo, lo + chunk)
+        vals[s] = _spectral_integrand(
+            rho[s, :, None] * mu[s, None, :],
+            a[s, None, :],
+            rho[s] * ts[s, None],
+            power,
+            rho[s] ** (r - 1),
         )
-    base = quad + 1j * rho * ts[:, None]
-    vals = rho ** (r - 1) * det_factor * np.exp(-power * np.log(base))
     total = np.einsum("s,si,si->", wts, rw, vals)
     return math.gamma(power) / np.pi**n * total, rho.size
 
@@ -183,7 +173,6 @@ def fundamental_solution(
     sphere_level=24,
     tol=1e-9,
     max_refine=3,
-    abel=None,
 ):
     """Fundamental solution of the sub-Laplacian at the point (y, t).
 
@@ -199,9 +188,6 @@ def fundamental_solution(
     group : StepTwoGroup
     y, t : array-like
         Horizontal (nonzero) and central coordinates of the point.
-    abel : optional float in (0, 1)
-        Internal verification mode: evaluate the Abel-regularized family
-        instead of its limit.
     """
     y, t = group.point(y, t)
     if not np.any(y):
@@ -211,7 +197,7 @@ def fundamental_solution(
         )
     return _refine(
         lambda lv: _fs_quadrature(
-            group, y, t, radial * 2**lv, sphere_level + 8 * lv, abel
+            group, y, t, radial * 2**lv, sphere_level + 8 * lv
         ),
         max_refine, tol, "fundamental solution",
     )
@@ -320,9 +306,15 @@ def null_vector(k, tau_dot):
     return e / np.sqrt(gamma_sq)
 
 
+# a = 1 + tau_0 reaches 2: the a^(2k) of ``null_vector`` overflows from k = 512
+MAX_LEVEL = 511
+
+
 def _check_level(k):
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DimensionError(f"the level k must be a positive integer, got {k}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_LEVEL:
+        raise DimensionError(
+            f"the level k must be an integer in 1..{MAX_LEVEL}, got {k}"
+        )
 
 
 def szego_data(k, tau):

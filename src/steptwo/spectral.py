@@ -118,43 +118,33 @@ def _min_gap(mu, tol):
     return min(gaps)
 
 
-def _negative_eigenpairs(M):
-    """Eigenpairs of the Hermitian matrix iM on its negative side.
+def _checked_spectrum(group, tau, tol, strict=True):
+    """The one eigen-solve and degeneracy test of B_tau, batched like tau.
 
-    ``M`` is one skew matrix or a stack of them, shape (..., 2n, 2n).
-    Returns (mu, V) with mu descending positive and V's columns the complex
-    eigenvectors of M with eigenvalues +i*mu_j.
+    For tau of shape (..., r) returns (M, mu, V, gap_tol, degenerate): M =
+    B_tau; mu (..., n) descending and V (..., 2n, n) from the negative side
+    of the Hermitian iM, so M V_j = i mu_j V_j; gap_tol = tol * mu_1, the
+    cluster tolerance; and the mask of mu_j below it (all when B_tau = 0).
+    With ``strict`` a zero tau, or the first tau with a set mask, raises.
     """
+    tau = np.asarray(tau, dtype=float)
+    if strict and not np.all(np.any(tau, axis=-1)):
+        raise DimensionError("the tau-frame requires tau != 0")
+    M = group.b_tau(tau)
     w, V = np.linalg.eigh(1j * M)
     n = M.shape[-1] // 2
     # ascending order puts -mu_1 <= ... <= -mu_n first, so mu comes out descending
-    return -w[..., :n], V[..., :n]
-
-
-def _degenerate(mu, tol):
-    """Mask of the magnitudes below tol * mu_1 (all of them when mu_1 = 0)."""
-    scale = mu[..., :1]
-    return (mu < tol * scale) | (scale == 0.0)
-
-
-def _checked_spectrum(group, tau, tol):
-    """B_tau at a nonzero tau with its eigenpairs and cluster tolerance.
-
-    Raises DegenerateTauError when some mu_j falls below tol * mu_1.
-    """
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if not np.any(tau):
-        raise DimensionError("the tau-frame requires tau != 0")
-    M = group.b_tau(tau)
-    mu, V = _negative_eigenpairs(M)
-    bad = np.nonzero(_degenerate(mu, tol))[0]
-    if bad.size:
+    mu, V = -w[..., :n], V[..., :n]
+    gap_tol = tol * mu[..., 0]
+    degenerate = (mu < gap_tol[..., None]) | (mu[..., :1] == 0.0)
+    if strict and degenerate.any():
+        first = tuple(np.argwhere(degenerate.any(axis=-1))[0])
         raise DegenerateTauError(
-            f"skew form at tau={tau.tolist()} is numerically degenerate "
-            f"(mu={mu.tolist()})",
-            indices=bad.tolist(),
+            f"skew form at tau={tau[first].tolist()} is numerically degenerate "
+            f"(mu={mu[first].tolist()})",
+            indices=np.nonzero(degenerate[first])[0].tolist(),
         )
-    return tau, M, mu, V, tol * mu[0]
+    return M, mu, V, gap_tol, degenerate
 
 
 def _fix_phase(v):
@@ -164,6 +154,22 @@ def _fix_phase(v):
     if pivot == 0:
         return v
     return v * (np.conj(pivot) / abs(pivot))
+
+
+def _orthonormal_projections(cols, refs):
+    """Project the columns of refs into span(cols), Gram-Schmidt in order.
+
+    One unit vector per reference, or None where the projection adds no
+    new direction (remaining norm at most 1e-6).
+    """
+    proj = cols @ cols.conj().T
+    out = []
+    for cand in (proj @ ref for ref in refs.T):
+        for b in (v for v in out if v is not None):
+            cand -= b * (b.conj() @ cand)
+        norm = np.linalg.norm(cand)
+        out.append(cand / norm if norm > 1e-6 else None)
+    return out
 
 
 def _deterministic_eigenbasis(mu, V, tol):
@@ -177,18 +183,8 @@ def _deterministic_eigenbasis(mu, V, tol):
     for cluster in _cluster(mu, tol):
         if len(cluster) == 1:
             continue
-        cols = V[:, cluster]
-        proj = cols @ cols.conj().T
-        basis = []
-        for ref in range(V.shape[0]):
-            cand = proj[:, ref].copy()
-            for b in basis:
-                cand -= b * (b.conj() @ cand)
-            norm = np.linalg.norm(cand)
-            if norm > 1e-6:
-                basis.append(cand / norm)
-            if len(basis) == len(cluster):
-                break
+        vecs = _orthonormal_projections(V[:, cluster], np.eye(V.shape[0]))
+        basis = [v for v in vecs if v is not None][: len(cluster)]
         if len(basis) == len(cluster):
             out[:, cluster] = np.column_stack(basis)
     return out
@@ -232,7 +228,8 @@ def normalize(group, tau, tol=DEGENERACY_RTOL):
     TauFrame
         With mu sorted descending and ||O^T B_tau O - J||_max <= 1e-10.
     """
-    tau, M, mu, V, gap_tol = _checked_spectrum(group, tau, tol)
+    tau = np.asarray(tau, dtype=float).reshape(-1)
+    M, mu, V, gap_tol, _ = _checked_spectrum(group, tau, tol)
     V = _deterministic_eigenbasis(mu, V, gap_tol)
     V = np.column_stack([_fix_phase(V[:, j]) for j in range(mu.size)])
     return _assemble_frame(tau, M, mu, V, gap_tol)
@@ -247,7 +244,8 @@ def continue_frame(prev, group, tau_new, tol=DEGENERACY_RTOL):
     eigenspace holds most of a projected column pair (an eigenvalue
     crossing between the two frequencies).
     """
-    tau_new, M, mu, V, gap_tol = _checked_spectrum(group, tau_new, tol)
+    tau_new = np.asarray(tau_new, dtype=float).reshape(-1)
+    M, mu, V, gap_tol, _ = _checked_spectrum(group, tau_new, tol)
     clusters = _cluster(mu, gap_tol)
 
     n = prev.n
@@ -279,21 +277,13 @@ def continue_frame(prev, group, tau_new, tol=DEGENERACY_RTOL):
     mu_new = np.empty(n)
     for c, cluster in enumerate(clusters):
         members = [j for j in range(n) if choice[j] == c]
-        cols = V[:, cluster]
-        proj = cols @ cols.conj().T
-        basis = []
-        for j in members:
-            cand = proj @ v_prev[:, j]
-            for b in basis:
-                cand -= b * (b.conj() @ cand)
-            norm = np.linalg.norm(cand)
-            if norm < 1e-6:
+        vecs = _orthonormal_projections(V[:, cluster], v_prev[:, members])
+        for j, vec in zip(members, vecs):
+            if vec is None:
                 raise AmbiguousMatchingError(
                     f"projected column pair {j} degenerated during "
                     "re-orthonormalization"
                 )
-            basis.append(cand / norm)
-        for j, vec in zip(members, basis):
             V_new[:, j] = vec
             mu_new[j] = np.mean(mu[cluster])
 
@@ -344,18 +334,19 @@ def degeneracy_scan(group, samples, tol=DEGENERACY_RTOL):
     tol * mu_1 (always when B_tau = 0): the degeneracy test of
     ``normalize``.
     """
-    rows = []
-    for tau in samples:
-        tau = np.asarray(tau, dtype=float).reshape(-1)
-        mu, _ = _negative_eigenpairs(group.b_tau(tau))
-        gap_tol = tol * mu[0]
-        rows.append(
-            ScanRow(
-                tau=_as_readonly(tau),
-                mu=_as_readonly(mu),
-                min_gap=_min_gap(mu, gap_tol),
-                pattern=tuple(len(c) for c in _cluster(mu, gap_tol)),
-                flagged=bool(_degenerate(mu, tol).any()),
-            )
+    taus = np.asarray(samples, dtype=float)
+    taus = taus.reshape(len(taus), -1 if taus.size else group.r)
+    _, mus, _, gap_tols, degenerate = _checked_spectrum(
+        group, taus, tol, strict=False
+    )
+    rows = tuple(
+        ScanRow(
+            tau=_as_readonly(tau),
+            mu=_as_readonly(mu),
+            min_gap=_min_gap(mu, gap_tol),
+            pattern=tuple(len(c) for c in _cluster(mu, gap_tol)),
+            flagged=bool(bad.any()),
         )
-    return ScanReport(rows=tuple(rows), tol=tol)
+        for tau, mu, gap_tol, bad in zip(taus, mus, gap_tols, degenerate)
+    )
+    return ScanReport(rows=rows, tol=tol)

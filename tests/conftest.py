@@ -1,5 +1,6 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -14,7 +15,10 @@ from steptwo.fields import (
     dual_axis_points,
     lattice_points,
 )
+from steptwo.kernels import _plane_energies, _refine
+from steptwo.quadrature import radial_nodes, sphere_rule
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
+from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum
 
 
 @pytest.fixture
@@ -208,6 +212,39 @@ def abel_partial_sum(f, group, R, terms):
     return st.SampledField(
         axes=f.axes, values=out.reshape(y_shape + t_shape), group=group
     )
+
+
+def abel_fundamental_solution(
+    group, y, t, R, radial=120, sphere_level=24, tol=1e-9, max_refine=3
+):
+    """Abel-regularized fundamental-solution family at (y, t) (slow oracle).
+
+    The frequency integral of ``fundamental_solution`` with the hyperbolic
+    factors of x = rho mu_j replaced by their R-damped Laguerre series,
+    2x e^-x / (1 - R e^-2x) and x (1 + R e^-2x) / (1 - R e^-2x); R -> 1
+    gives back x/sinh(x) and x coth(x).  Same quadrature and refinement.
+    """
+    y, t = group.point(y, t)
+    n, r = group.n, group.r
+    power = n + r - 1
+
+    def run_pass(level):
+        pts, wts = sphere_rule(r, sphere_level + 8 * level)
+        _, mu, V, _, _ = _checked_spectrum(group, pts, DEGENERACY_RTOL)
+        a = _plane_energies(V, y)
+        rho, rw = radial_nodes(radial * 2**level, np.sum(mu, axis=1))
+        arg = rho[:, :, None] * mu[:, None, :]
+        e = np.exp(-arg)
+        det_factor = np.prod(2.0 * arg * e / (1.0 - R * e * e), axis=2)
+        quad = np.einsum(
+            "sij,sj->si", arg * (1.0 + R * e * e) / (1.0 - R * e * e), a
+        )
+        base = quad + 1j * rho * (pts @ t)[:, None]
+        vals = rho ** (r - 1) * det_factor * np.exp(-power * np.log(base))
+        total = np.einsum("s,si,si->", wts, rw, vals)
+        return math.gamma(power) / np.pi**n * total, rho.size
+
+    return _refine(run_pass, max_refine, tol, "Abel family").value
 
 
 def fd_directional(fn, pts, direction, h):

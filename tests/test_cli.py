@@ -382,7 +382,7 @@ def _vector_text(size):
 
 
 _int_text = hs.one_of(
-    hs.integers(-3, 6).map(str), hs.sampled_from(["", "x", "1.5", "1e3"])
+    hs.integers(-3, 6).map(str), hs.sampled_from(["", "x", "1.5", "1e3", "600"])
 )
 
 
