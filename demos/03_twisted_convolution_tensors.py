@@ -23,11 +23,13 @@ def basis_field(p, k):
         axes, lambda pts: st.exp_laguerre(frame, st.basis_address((p,), (k,)), pts)
     )
 
-conv = st.twisted_convolve(basis_field(2, 1), basis_field(1, 3), h1, tau, out_stride=6)
-target = st.exp_laguerre(frame, st.basis_address((2,), (3,)), conv.mesh())
-print("E_{2,1} * E_{1,3} = E_{2,3}: max error", np.abs(conv.values - target).max())
-conv0 = st.twisted_convolve(basis_field(2, 1), basis_field(3, 1), h1, tau, out_stride=6)
-print("E_{2,1} * E_{3,1} = 0:      max error", np.abs(conv0.values).max())
+# Compare on every sixth grid point of each axis, the origin among them.
+sub = (slice(ax.zero_index % 6, None, 6),) * 2
+conv = st.twisted_convolve(basis_field(2, 1), basis_field(1, 3), h1, tau)
+target = st.exp_laguerre(frame, st.basis_address((2,), (3,)), conv.mesh()[sub])
+print("E_{2,1} * E_{1,3} = E_{2,3}: max error", np.abs(conv.values[sub] - target).max())
+conv0 = st.twisted_convolve(basis_field(2, 1), basis_field(3, 1), h1, tau)
+print("E_{2,1} * E_{3,1} = 0:      max error", np.abs(conv0.values[sub]).max())
 
 # Symbol calculus on generic rapidly decaying functions.
 rng = np.random.default_rng(5)

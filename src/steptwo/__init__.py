@@ -20,13 +20,11 @@ from .fields import (
     SampledField,
     abel_approx_identity,
     abel_multiplier,
-    euclidean_ft,
     group_convolve,
     group_convolve_fourier,
     partial_fourier,
     symmetric_axis,
     twisted_convolve,
-    twisted_convolve_1d,
 )
 from .groups import (
     GroupPoint,
@@ -40,13 +38,10 @@ from .groups import (
 )
 from .kernels import (
     QuadResult,
-    SubLaplacianSymbol,
     SzegoData,
     fs_integrand,
     fundamental_solution,
     horizontal_laplacian_residual,
-    sublap_inverse_symbol,
-    sublap_symbol,
     szego_data,
     szego_kernel,
 )
@@ -75,6 +70,7 @@ from .tensors import (
     identity_tensor,
     indicator_tensor,
     laguerre_coefficients,
+    sublap_symbol,
     synthesize,
     tensor_multiply,
 )

@@ -214,11 +214,18 @@ def _tensor_payload(T, g):
 
 def _load_tensor(path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    g = groups.group_from_dict(data["group"])
-    fr = spectral.normalize(g, np.asarray(data["tau"], dtype=float))
-    entries = np.asarray(data["entries_re"]) + 1j * np.asarray(data["entries_im"])
-    return tensors.LaguerreTensor(frame=fr, K=int(data["K"]), entries=entries), g
+        try:
+            data = json.load(fh)
+            g = groups.group_from_dict(data["group"])
+            tau = np.asarray(data["tau"], dtype=float)
+            entries = np.asarray(data["entries_re"]) + 1j * np.asarray(
+                data["entries_im"]
+            )
+            K = int(data["K"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SteptwoError(f"malformed tensor file {path!r}: {exc!r}") from exc
+    fr = spectral.normalize(g, tau)
+    return tensors.LaguerreTensor(frame=fr, K=K, entries=entries), g
 
 
 def cmd_tensor_of_field(args):
@@ -464,8 +471,10 @@ def run(argv=None):
     except SteptwoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -205,16 +205,17 @@ class SampledField:
             )
         values = np.frombuffer(data, dtype=complex, offset=header)
         values = values.reshape(shape).copy()
-        group = tau = None
         try:
             with open(path + ".json", "r", encoding="utf-8") as fh:
                 sidecar = json.load(fh)
+            tau = sidecar.get("tau")
+            tau = None if tau is None else np.asarray(tau, dtype=float)
         except FileNotFoundError:
-            sidecar = {}
-        if sidecar.get("tau") is not None:
-            tau = np.asarray(sidecar["tau"], dtype=float)
-        if sidecar.get("group") is not None:
-            group = group_from_dict(sidecar["group"])
+            sidecar, tau = {}, None
+        except (ValueError, AttributeError) as exc:  # not JSON or not an object
+            raise GridError(f"malformed field sidecar {path}.json: {exc}") from exc
+        group = sidecar.get("group")
+        group = None if group is None else group_from_dict(group)
         return cls(axes=tuple(axes), values=values, group=group, tau=tau)
 
     def to_csv(self, path):
@@ -293,18 +294,6 @@ def partial_fourier(f, tau):
 # ---------------------------------------------------------------------------
 
 
-def _strided_axes(axes, stride):
-    out_axes, starts = [], []
-    for a in axes:
-        start = a.zero_index % stride
-        count = len(range(start, a.count, stride))
-        out_axes.append(
-            Axis(lo=a.lo + start * a.step, step=a.step * stride, count=count)
-        )
-        starts.append(start)
-    return tuple(out_axes), starts
-
-
 # Complex elements in one chunk of the FFT engine's per-row arrays; a few
 # such arrays are live at once, so the engine's working memory stays near
 # a fixed size whatever the grid.
@@ -326,7 +315,7 @@ def _isotropic_split(M):
     return [j for j in range(d) if j not in Q], Q
 
 
-def _twisted_engine(f, g, M, out_stride=1):
+def _twisted_engine(f, g, M):
     """Lattice sum sum_X f[I-X] g[X] exp(-2i y_I.M x_X) * cell on the shared grid.
 
     f(y-x) is a lattice lookup, zero outside the window: both points are on
@@ -347,7 +336,6 @@ def _twisted_engine(f, g, M, out_stride=1):
     M = np.asarray(M, dtype=float)
     P, Q = _isotropic_split(M)
     axes = f.axes
-    out_axes, starts = _strided_axes(axes, out_stride)
     q_counts = tuple(axes[j].count for j in Q)
     # the shortest FFT lengths at which the circular convolution equals the
     # linear one on the output indices zero .. zero + count - 1
@@ -360,23 +348,13 @@ def _twisted_engine(f, g, M, out_stride=1):
     def split(vals):
         return vals.transpose(P + Q).reshape((1, -1) + q_counts)
 
-    full = [np.arange(a.count) for a in axes]
-    sub = [s + out_stride * np.arange(a.count) for s, a in zip(starts, out_axes)]
-
-    def points(ids, idx):
-        return lattice_points([axes[j].lo + axes[j].step * idx[j] for j in ids])
-
-    x_p, x_q, y_p, y_q = (
-        points(P, full), points(Q, full), points(P, sub), points(Q, sub)
-    )
-    p_idx = lattice_points([full[j] for j in P])
-    p_sub = lattice_points([sub[j] for j in P])
+    x_p, x_q = (lattice_points([axes[j].points() for j in ids]) for ids in (P, Q))
+    p_idx = lattice_points([np.arange(axes[j].count) for j in P])
     p_counts = np.array([axes[j].count for j in P])
     p_zero = np.array([axes[j].zero_index for j in P])
     # output index I_Q sits at linear-convolution index I_Q + zero_Q
     keep = (slice(None), slice(None)) + tuple(
-        slice(s + a.zero_index, a.count + a.zero_index, out_stride)
-        for s, a in ((starts[j], axes[j]) for j in Q)
+        slice(a.zero_index, a.count + a.zero_index) for a in (axes[j] for j in Q)
     )
 
     twoM = 2.0 * M
@@ -386,17 +364,16 @@ def _twisted_engine(f, g, M, out_stride=1):
         len(x_p), -1
     )
     gw = split(g.values) * f.cell_volume
-    phase_qp = np.exp(-1j * (y_q @ twoM[np.ix_(Q, P)]) @ x_p.T)
-    n_out = len(y_p)
-    out = np.empty((n_out, len(y_q)), dtype=complex)
+    phase_qp = np.exp(-1j * (x_q @ twoM[np.ix_(Q, P)]) @ x_p.T)
+    out = np.empty((len(x_p), len(x_q)), dtype=complex)
     rows = max(1, _FFT_CHUNK_ELEMENTS // (len(x_p) * f_hat.shape[1]))
-    for lo_b in range(0, n_out, rows):
+    for lo_b in range(0, len(x_p), rows):
         b = slice(lo_b, lo_b + rows)
-        mod = np.exp(-1j * (y_p[b] @ twoM[np.ix_(P, Q)]) @ x_q.T)
+        mod = np.exp(-1j * (x_p[b] @ twoM[np.ix_(P, Q)]) @ x_q.T)
         g_hat = np.fft.fftn(
             gw * mod.reshape((-1, 1) + q_counts), s=pad, axes=fft_axes
         ).reshape(mod.shape[0], len(x_p), -1)
-        K = p_sub[b][:, None, :] - p_idx[None, :, :] + p_zero
+        K = p_idx[b][:, None, :] - p_idx[None, :, :] + p_zero
         valid = np.all((K >= 0) & (K < p_counts), axis=-1)
         flat = np.ravel_multi_index(
             tuple(np.moveaxis(K, -1, 0)), tuple(p_counts), mode="clip"
@@ -405,14 +382,13 @@ def _twisted_engine(f, g, M, out_stride=1):
         conv = np.fft.ifftn(
             g_hat.reshape(g_hat.shape[:2] + pad), axes=fft_axes
         )[keep].reshape(g_hat.shape[0], len(x_p), -1)
-        phase_pp = np.exp(-1j * (y_p[b] @ twoM[np.ix_(P, P)]) @ x_p.T)
+        phase_pp = np.exp(-1j * (x_p[b] @ twoM[np.ix_(P, P)]) @ x_p.T)
         out[b] = np.einsum("bx,qx,bxq->bq", phase_pp, phase_qp, conv)
-    shape = tuple(out_axes[j].count for j in P + Q)
-    inverse = np.argsort(P + Q)
-    return out.reshape(shape).transpose(inverse), out_axes
+    shape = tuple(axes[j].count for j in P + Q)
+    return out.reshape(shape).transpose(np.argsort(P + Q))
 
 
-def twisted_convolve(f, g, group, tau, out_stride=1):
+def twisted_convolve(f, g, group, tau):
     """Twisted convolution of two fields over R^(2n) at frequency tau.
 
     The Riemann sum of the defining oscillatory integral on the shared
@@ -420,8 +396,7 @@ def twisted_convolve(f, g, group, tau, out_stride=1):
     vanishes: O(N^3 log N) on a 2-D grid of N^2 points, O(N^6 log N) on the
     quaternionic group at a coordinate tau; this is the path behind
     ``convolve --path direct``.  tau = 0 reduces to the Euclidean
-    convolution.  ``out_stride`` > 1 evaluates on a strided subgrid (which
-    still contains the origin).
+    convolution.  The result lives on the full shared grid.
     """
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if f.ndim != group.m:
@@ -429,17 +404,8 @@ def twisted_convolve(f, g, group, tau, out_stride=1):
             f"fields must have {group.m} horizontal axes for this group, "
             f"got {f.ndim}"
         )
-    values, axes = _twisted_engine(f, g, group.b_tau(tau), out_stride)
-    return SampledField(axes=axes, values=values, group=group, tau=tau)
-
-
-def twisted_convolve_1d(f, g, tau, out_stride=1):
-    """One-complex-slot twisted convolution, phase exp(-2i tau (-y1 x2 + y2 x1))."""
-    if f.ndim != 2:
-        raise GridError("twisted_convolve_1d expects fields over R^2")
-    M = float(tau) * np.array([[0.0, -1.0], [1.0, 0.0]])
-    values, axes = _twisted_engine(f, g, M, out_stride)
-    return SampledField(axes=axes, values=values, tau=np.array([float(tau)]))
+    values = _twisted_engine(f, g, group.b_tau(tau))
+    return SampledField(axes=f.axes, values=values, group=group, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +522,6 @@ def _ft_axes(vals, axes, first=0, offset=0.0):
     for i, a in enumerate(axes):
         vals = _apply_kernel(vals, _ft_matrix(a, offset), first + i)
     return vals
-
-
-def euclidean_ft(f):
-    """Continuous Fourier transform sampled on the dual lattice."""
-    return _ft_axes(f.values, f.axes)
 
 
 def _inverse_central_ft(partial, t_axes, tau_pts):

@@ -275,22 +275,13 @@ def quaternionic_heisenberg():
     return make_group(2, 3, _QUATERNIONIC_B)
 
 
-def preset(name, n=None):
-    """Look up a named group.
-
-    Accepted names: "quaternionic-heisenberg", "heisenberg-<N>" for a
-    literal N, or "heisenberg-n" together with the ``n`` keyword.
-    """
+def preset(name):
+    """Look up a named group: "quaternionic-heisenberg" or "heisenberg-<N>"."""
     if name == "quaternionic-heisenberg":
         return quaternionic_heisenberg()
     if name.startswith("heisenberg-"):
-        suffix = name[len("heisenberg-"):]
-        if suffix == "n":
-            if n is None:
-                raise DimensionError('preset "heisenberg-n" needs the n argument')
-            return heisenberg(n)
         try:
-            return heisenberg(int(suffix))
+            return heisenberg(int(name[len("heisenberg-"):]))
         except ValueError:
             pass
     raise DimensionError(f"unknown group preset {name!r}")

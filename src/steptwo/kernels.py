@@ -1,5 +1,5 @@
-"""Kernel integrals: the sub-Laplacian's symbol and fundamental solution,
-and the Szego kernel on the quaternionic Heisenberg group.
+"""Kernel integrals: the sub-Laplacian's fundamental solution and the
+Szego kernel on the quaternionic Heisenberg group.
 
 All matrix functions of the skew form reduce through the tau-frame
 spectrum: each eigenvalue magnitude mu_j contributes one 2x2 block, so the
@@ -14,53 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTauError, DimensionError, QuadratureError
+from .errors import DimensionError, QuadratureError
 from .groups import finite_array
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
 from .spectral import DEGENERACY_RTOL, _checked_spectrum
-
-# ---------------------------------------------------------------------------
-# the sub-Laplacian's diagonal symbol
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubLaplacianSymbol:
-    """Diagonal Laguerre symbol: raw index k -> sum_j mu_j (2 k_j + 1).
-
-    ``diag`` has shape (K+1,)*n; entry [k] is the eigenvalue on the radial
-    basis element with raw index k.
-    """
-
-    frame: object
-    K: int
-    diag: np.ndarray = field(repr=False)
-
-    def eigenvalue(self, k):
-        k = tuple(int(v) for v in k)
-        if any(v < 0 or v > self.K for v in k):
-            raise DimensionError(f"raw index {k} outside truncation 0..{self.K}")
-        return float(self.diag[k])
-
-
-def sublap_symbol(frame, K):
-    """Eigenvalues sum_j mu_j (2 k_j + 1) for all raw indices with entries <= K."""
-    if frame.mu[-1] <= 0:
-        raise DegenerateTauError("sublap_symbol needs a non-degenerate frame")
-    n = frame.n
-    grids = np.meshgrid(*[np.arange(K + 1)] * n, indexing="ij")
-    diag = np.zeros(grids[0].shape)
-    for j in range(n):
-        diag += frame.mu[j] * (2 * grids[j] + 1)
-    return SubLaplacianSymbol(frame=frame, K=K, diag=diag)
-
-
-def sublap_inverse_symbol(sym):
-    """Entrywise reciprocal; valid because all eigenvalues are positive."""
-    if np.any(sym.diag <= 0):
-        raise DegenerateTauError("cannot invert a symbol with nonpositive entries")
-    return SubLaplacianSymbol(frame=sym.frame, K=sym.K, diag=1.0 / sym.diag)
-
 
 # ---------------------------------------------------------------------------
 # fundamental-solution integrand and integral

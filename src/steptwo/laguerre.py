@@ -23,7 +23,7 @@ def laguerre_poly(k, p, sigma):
     """Generalized Laguerre polynomial L_k^(p) by upward three-term recurrence.
 
     Stable for the desk-scale degrees used here (k up to a few hundred).
-    Vectorized over sigma.
+    Vectorized over sigma; raises where the value overflows.
     """
     if k < 0 or p < 0:
         raise DimensionError(f"laguerre_poly needs k, p >= 0, got k={k}, p={p}")
@@ -31,9 +31,16 @@ def laguerre_poly(k, p, sigma):
     prev = np.ones_like(sigma)
     if k == 0:
         return prev
-    cur = 1.0 + p - sigma
-    for m in range(1, k):
-        prev, cur = cur, ((2 * m + p + 1 - sigma) * cur - (m + p) * prev) / (m + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur = 1.0 + p - sigma
+        for m in range(1, k):
+            prev, cur = cur, ((2 * m + p + 1 - sigma) * cur - (m + p) * prev) / (m + 1)
+    bad = ~np.isfinite(cur)
+    if bad.any():
+        raise DimensionError(
+            f"laguerre_poly overflows at k={k}, p={p}, "
+            f"sigma={sigma[bad].flat[0]:.6g}"
+        )
     return cur
 
 

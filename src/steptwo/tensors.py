@@ -13,7 +13,12 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import DegenerateTauError, DimensionError, GridError
-from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
+from .laguerre import (
+    basis_address,
+    exp_laguerre,
+    exp_laguerre_l2_norm_sq,
+    sublap_eigenvalue,
+)
 
 
 def _addresses(n, K):
@@ -174,14 +179,29 @@ def tensor_multiply(A, B):
     )
 
 
-def apply_diagonal_symbol(T, diag_of_raw):
-    """Right-multiply by a diagonal operator symbol.
+def sublap_symbol(frame, K):
+    """The sub-Laplacian's diagonal symbol on K^n column addresses.
 
-    ``diag_of_raw(k_raw)`` maps the raw radial index (column address minus
-    one) to its scalar; this is how diagonal operator symbols act on
-    function tensors.
+    Entry i is its eigenvalue sum_j mu_j (2 k_j - 1) on the basis elements
+    with column address k = addresses[i]; it does not depend on the row.
+    The reciprocal of this array is the symbol of the inverse.
     """
-    scale = np.array(
-        [diag_of_raw(tuple(v - 1 for v in k)) for k in _addresses(T.n, T.K)]
+    if frame.mu[-1] <= 0:
+        raise DegenerateTauError("sublap_symbol needs a non-degenerate frame")
+    return np.array(
+        [sublap_eigenvalue(frame, basis_address(k, k)) for k in _addresses(frame.n, K)]
     )
-    return LaguerreTensor(frame=T.frame, K=T.K, entries=T.entries * scale[None, :])
+
+
+def apply_diagonal_symbol(T, diag):
+    """Right-multiply by a diagonal operator symbol, one entry per column.
+
+    ``diag`` is in column-address order, as ``sublap_symbol`` returns it.
+    """
+    diag = np.asarray(diag)
+    if diag.shape != (T.entries.shape[1],):
+        raise DimensionError(
+            f"diagonal symbol needs {T.entries.shape[1]} entries for K={T.K}, "
+            f"n={T.n}, got shape {diag.shape}"
+        )
+    return LaguerreTensor(frame=T.frame, K=T.K, entries=T.entries * diag[None, :])

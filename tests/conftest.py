@@ -11,7 +11,6 @@ from steptwo.errors import GridError
 from steptwo.fields import (
     _check_shared_grid,
     _group_axes,
-    _strided_axes,
     dual_axis_points,
     lattice_points,
 )
@@ -43,13 +42,20 @@ def random_skew_group(rng, n=None, r=None):
     return st.make_group(n, r, B - np.transpose(B, (0, 2, 1)))
 
 
-def twisted_direct(f, g, M, out_stride=1):
+def every(k, axes):
+    """Every k-th grid point of each axis, the origin among them: one slice per axis."""
+    return tuple(slice(a.zero_index % k, None, k) for a in axes)
+
+
+def twisted_direct(f, g, M, stride=1):
     """Direct O(N^2) lattice sum of the twisted convolution (slow oracle).
 
-    Same contract as ``steptwo.fields._twisted_engine``: the Riemann sum of
+    Same sum as ``steptwo.fields._twisted_engine``: the Riemann sum of
     exp(-2i y.M x) f(y-x) g(x) over the shared grid, f(y-x) looked up on
     the lattice and zero outside the window, evaluated point by point in
-    batches of 128 output points.  Returns (values, output axes).
+    batches of 128 output points.  Only the output points ``every(stride,
+    f.axes)`` are evaluated, since the full output costs N^2 terms; returns
+    their values.
     """
     _check_shared_grid(f, g)
     counts = np.array([a.count for a in f.axes])
@@ -62,11 +68,9 @@ def twisted_direct(f, g, M, out_stride=1):
     gw = g.values.reshape(-1) * f.cell_volume
     f_flat = f.values.reshape(-1)
 
-    out_axes, starts = _strided_axes(f.axes, out_stride)
-    out_counts = tuple(a.count for a in out_axes)
-    out_idx = lattice_points(
-        [s + out_stride * np.arange(c) for s, c in zip(starts, out_counts)]
-    )
+    out_ids = [np.arange(c)[s] for c, s in zip(counts, every(stride, f.axes))]
+    out_counts = tuple(len(ids) for ids in out_ids)
+    out_idx = lattice_points(out_ids)
 
     twoM = 2.0 * np.asarray(M, dtype=float)
     out = np.empty(out_idx.shape[0], dtype=complex)
@@ -82,7 +86,7 @@ def twisted_direct(f, g, M, out_stride=1):
         fv = np.where(valid, f_flat[flat_idx], 0.0)
         phase = np.exp(-1j * np.einsum("bd,xd->bx", y_pts @ twoM, x_pts))
         out[lo_b : lo_b + batch] = np.einsum("bx,bx,x->b", phase, fv, gw)
-    return out.reshape(out_counts), out_axes
+    return out.reshape(out_counts)
 
 
 def dirichlet_kernel(u, L):

@@ -113,16 +113,19 @@ def test_criterion_3_product_rule():
             target = np.zeros((16, 16), dtype=complex)
         worst = max(worst, np.abs(conv.reshape(16, 16) - target).max())
 
-    # cross-check the shared-phase harness against the public operation
+    # cross-check the shared-phase harness against the public operation,
+    # H1 at -tau (the phase of M above), on the harness's output points
+    h1 = st.heisenberg(1)
     for (k, p, q, m) in ((1, 2, 1, 3), (2, 2, 3, 1), (3, 3, 3, 3)):
         ff = SampledField(axes=(ax, ax), values=basis[(p, k)])
         gg = SampledField(axes=(ax, ax), values=basis[(q, m)])
-        conv = st.twisted_convolve_1d(ff, gg, tau, out_stride=stride)
+        conv = st.twisted_convolve(ff, gg, h1, [-tau])
         fv = np.where(valid, basis[(p, k)].reshape(-1)[flat], 0.0)
         harness = np.einsum(
             "bx,bx,x->b", phase, fv, basis[(q, m)].reshape(-1)
         ) * w
-        assert np.abs(conv.values.reshape(-1) - harness).max() < 1e-12
+        sub = conv.values[::stride, ::stride].reshape(-1)
+        assert np.abs(sub - harness).max() < 1e-12
 
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed < 120.0

@@ -322,12 +322,38 @@ def test_usage_error_exit_code(monkeypatch):
          "--seed"),
         (["spectral", "normalize", "--group", "preset:heisenberg-1", "--tau", "1",
           "--tol", "nan"], "--tol"),
+        (["tensor", "multiply", "--a", "BAD_JSON", "--b", "BAD_JSON"], "BAD_JSON"),
+        (["tensor", "multiply", "--a", "NO_GROUP", "--b", "NO_GROUP"], "NO_GROUP"),
+        (["convolve", "--a", "BAD_SIDECAR", "--b", "BAD_SIDECAR", "--group",
+          "preset:heisenberg-1", "--tau", "1", "--out", "OUT"], "SIDECAR"),
+        (["tensor", "of-field", "--field", "BAD_SIDECAR", "--group",
+          "preset:heisenberg-1", "--tau", "1"], "SIDECAR"),
+        (["group", "--group", "DIR"], "DIR"),
+        (["group", "--group", "preset:heisenberg-1", "--out", "MISSING_DIR"],
+         "cannot open"),
+        (["laguerre", "eval", "--k", "3", "--p", "2", "--sigma", "1e200"], "sigma"),
+        (["group", "--group", "preset:heisenberg-n"], "unknown group preset"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     nan_group = tmp_path / "nan.json"
     nan_group.write_text('{"n": 1, "r": 1, "B": [[NaN]]}')
-    paths = {"NAN_GROUP": str(nan_group), "OUT": str(tmp_path / "out.csv")}
+    (tmp_path / "bad.json").write_text('{"K": 2,')
+    (tmp_path / "no_group.json").write_text('{"K": 2}')
+    ax = symmetric_axis(6.0, 48)
+    bad_sidecar = tmp_path / "f.field"
+    SampledField(axes=(ax, ax), values=np.zeros((48, 48))).save(bad_sidecar)
+    (tmp_path / "f.field.json").write_text("{")
+    paths = {
+        "NAN_GROUP": str(nan_group),
+        "OUT": str(tmp_path / "out.csv"),
+        "BAD_JSON": str(tmp_path / "bad.json"),
+        "NO_GROUP": str(tmp_path / "no_group.json"),
+        "BAD_SIDECAR": str(bad_sidecar),
+        "SIDECAR": str(bad_sidecar) + ".json",
+        "DIR": str(tmp_path),
+        "MISSING_DIR": str(tmp_path / "missing" / "out.json"),
+    }
     try:
         code = run([paths.get(a, a) for a in argv])
     except SystemExit as exc:
@@ -336,7 +362,7 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     assert code in (1, 2), (code, err)
     assert "Traceback" not in err
     assert code != 0 or "nan" not in out.lower()
-    assert names in err
+    assert paths.get(names, names) in err
 
 
 def test_closed_stdout_ends_quietly():

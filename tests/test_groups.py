@@ -52,9 +52,9 @@ def test_heisenberg_preset_shapes():
     for j in range(3):
         expected[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = J2
     np.testing.assert_array_equal(g.B[0], expected)
-    assert st.preset("heisenberg-n", n=2).n == 2
-    with pytest.raises(st.DimensionError, match="unknown"):
-        st.preset("free-nilpotent")
+    for name in ("free-nilpotent", "heisenberg-n"):
+        with pytest.raises(st.DimensionError, match="unknown"):
+            st.preset(name)
 
 
 def test_multiply_identity_and_example(h1):

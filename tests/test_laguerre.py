@@ -61,6 +61,16 @@ class TestPolynomials:
                 with pytest.raises(st.DimensionError, match="sigma"):
                     fn(2, 1, sigma)
 
+    def test_overflow_is_an_error_not_nan(self, h1):
+        # L_3^(2) near sigma = 1e200 overflows past the float range; the
+        # error names the indices and the first sigma it failed at
+        for fn in (st.laguerre_poly, st.laguerre_l):
+            with pytest.raises(st.DimensionError, match="k=3, p=2, sigma=1e\\+200"):
+                fn(3, 2, [1.0, 1e200])
+        fr = st.normalize(h1, [1.0])
+        with pytest.raises(st.DimensionError, match="overflows"):
+            st.exp_laguerre(fr, st.raw_index((3,), (2,)), [[1e100, 0.0]])
+
 
 class TestNormalizedFunctions:
     def test_ground_state(self):

@@ -185,8 +185,7 @@ class TestDiagonalSymbols:
         E = np.zeros((K, K), complex)
         E[:4, :4] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         T = st.LaguerreTensor(frame=frame, K=K, entries=E)
-        sym = st.sublap_symbol(frame, K)
-        u = st.apply_diagonal_symbol(T, lambda k: 1.0 / sym.eigenvalue(k))
+        u = st.apply_diagonal_symbol(T, 1.0 / st.sublap_symbol(frame, K))
 
         M = st.heisenberg(1).b_tau([1.0])
         h = 1e-3
@@ -211,3 +210,9 @@ class TestDiagonalSymbols:
                 acc += y_op(y_op(synth_u, k), k)(y)
             residual.append(-0.25 * acc - st.synthesize(T, y))
         assert np.abs(residual).max() < 1e-4
+
+    def test_diagonal_must_match_the_columns(self, frame):
+        T = st.identity_tensor(frame, 4)
+        for diag in (np.ones(3), np.ones(5), np.ones((4, 4))):
+            with pytest.raises(st.DimensionError, match="needs 4 entries"):
+                st.apply_diagonal_symbol(T, diag)
