@@ -67,8 +67,6 @@ def _load_group(spec):
         return groups.preset(spec[len("preset:"):])
     try:
         return groups.load_group(spec)
-    except FileNotFoundError:
-        return groups.preset(spec)
     except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
         raise SteptwoError(f"malformed group file {spec!r}: {exc}") from exc
 

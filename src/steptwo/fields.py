@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GridError
+from .spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 
 _MAGIC = b"S2FIELD\x00"
 
@@ -128,9 +129,6 @@ class SampledField:
 
     def l1_norm(self):
         return float(np.abs(self.values).sum() * self.cell_volume)
-
-    def l2_norm_sq(self):
-        return float((np.abs(self.values) ** 2).sum() * self.cell_volume)
 
     @classmethod
     def from_function(cls, axes, fn, group=None, tau=None):
@@ -245,10 +243,18 @@ def _group_axes(f, group):
     return f.axes[:m], f.axes[m:]
 
 
-def _apply_kernel(vals, kernel, ax):
-    """Contract kernel (out, in) against axis ``ax`` of vals."""
-    moved = np.moveaxis(vals, ax, 0)
-    return np.moveaxis(np.einsum("fm,m...->f...", kernel, moved), 0, ax)
+def _difference_index(y_idx, x_idx, zero, counts):
+    """Flat lattice index of y - x, clipped, and whether it lies in the window.
+
+    Grid indices ``y_idx`` and ``x_idx`` (..., d) broadcast; ``zero`` and
+    ``counts`` (d,) are the axes' origin indices and counts.
+    """
+    diff = y_idx - x_idx + zero
+    inside = np.all((diff >= 0) & (diff < counts), axis=-1)
+    flat = np.ravel_multi_index(
+        tuple(np.moveaxis(diff, -1, 0)), tuple(counts), mode="clip"
+    )
+    return flat, inside
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +275,16 @@ def partial_fourier(f, tau):
         raise GridError(
             f"field has {f.ndim} axes, cannot split off {r} central axes"
         )
-    central = f.axes[f.ndim - r :]
+    m = f.ndim - r
+    central = f.axes[m:]
     for beta, a in enumerate(central):
         if abs(tau[beta]) > np.pi / a.step:
             raise GridError(
                 f"tau[{beta}] = {tau[beta]} exceeds the Nyquist limit "
                 f"{np.pi / a.step:.6g} of its grid axis"
             )
-    phase = np.ones(tuple(a.count for a in central), dtype=complex)
-    for beta, a in enumerate(central):
-        shape = [1] * r
-        shape[beta] = a.count
-        phase = phase * np.exp(-1j * tau[beta] * a.points()).reshape(shape)
-    weight = float(np.prod([a.step for a in central]))
-    flat = f.values.reshape(f.values.shape[: f.ndim - r] + (-1,))
-    out = np.einsum("...s,s->...", flat, phase.reshape(-1)) * weight
-    return SampledField(
-        axes=f.axes[: f.ndim - r], values=out, group=f.group, tau=tau
-    )
+    out = _ft_axes(f.values, central, m, tau[:, None]).reshape(f.values.shape[:m])
+    return SampledField(axes=f.axes[:m], values=out, group=f.group, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +371,10 @@ def _twisted_engine(f, g, M):
         g_hat = np.fft.fftn(
             gw * mod.reshape((-1, 1) + q_counts), s=pad, axes=fft_axes
         ).reshape(mod.shape[0], len(x_p), -1)
-        K = p_idx[b][:, None, :] - p_idx[None, :, :] + p_zero
-        valid = np.all((K >= 0) & (K < p_counts), axis=-1)
-        flat = np.ravel_multi_index(
-            tuple(np.moveaxis(K, -1, 0)), tuple(p_counts), mode="clip"
+        flat, inside = _difference_index(
+            p_idx[b][:, None, :], p_idx[None, :, :], p_zero, p_counts
         )
-        g_hat *= f_hat[np.where(valid, flat, len(x_p))]
+        g_hat *= f_hat[np.where(inside, flat, len(x_p))]
         conv = np.fft.ifftn(
             g_hat.reshape(g_hat.shape[:2] + pad), axes=fft_axes
         )[keep].reshape(g_hat.shape[0], len(x_p), -1)
@@ -453,9 +449,8 @@ def group_convolve(phi, psi, group):
     out = np.empty((n_y,) + t_counts, dtype=complex)
     for row in range(n_y):
         # lattice index of y - x and the central twist 2 B(x, y) / step per x
-        diff = y_idx[row] - y_idx + y_zero
-        xs = np.nonzero(np.all((diff >= 0) & (diff < y_counts), axis=1))[0]
-        shifted = np.ravel_multi_index(tuple(diff[xs].T), tuple(y_counts))
+        flat, inside = _difference_index(y_idx[row], y_idx, y_zero, y_counts)
+        xs = np.nonzero(inside)[0]
         twist = (
             2.0 * np.einsum("bkl,xk,l->xb", group.B, y_pts[xs], y_pts[row])
             / t_steps
@@ -465,7 +460,7 @@ def group_convolve(phi, psi, group):
         acc = np.zeros(t_counts, dtype=complex)
         for lo in range(0, len(xs), chunk):
             b = slice(lo, lo + chunk)
-            conv = phi_hat[xs[b]] * psi_hat[shifted[b]]
+            conv = phi_hat[xs[b]] * psi_hat[flat[xs[b]]]
             for beta, ax in enumerate(central):
                 # one axis at a time: shift by -f, invert, read i + zero - k
                 shape = [1] * conv.ndim
@@ -505,34 +500,22 @@ def dual_axis_points(a, offset=0.0):
     )
 
 
-def _ft_matrix(a, offset=0.0):
-    """Trapezoid-rule Fourier transform of one axis, (dual node, grid point)."""
-    return np.exp(-1j * np.outer(dual_axis_points(a, offset), a.points())) * a.step
+def _ft_axes(vals, axes, first, freqs, inverse=False):
+    """Trapezoid-rule Fourier transform of consecutive axes from ``first``.
 
-
-def _inverse_ft_weight(axes):
-    """Dual-lattice cell volume over (2 pi)^d: the inverse transform's weight."""
-    dual_vol = float(np.prod([2.0 * np.pi / (a.count * a.step) for a in axes]))
-    return dual_vol / (2.0 * np.pi) ** len(axes)
-
-
-def _ft_axes(vals, axes, first=0, offset=0.0):
-    """Transform ``vals`` along consecutive axes starting at ``first``."""
-    vals = vals.astype(complex)
-    for i, a in enumerate(axes):
-        vals = _apply_kernel(vals, _ft_matrix(a, offset), first + i)
-    return vals
-
-
-def _inverse_central_ft(partial, t_axes, tau_pts):
-    """Inverse central transform of horizontal slices, one per dual node.
-
-    Column q of ``partial`` (n_y, n_tau) is the flattened slice at the
-    central frequency tau_pts[q]; the result has shape (n_y, n_t).
+    Axis first + i goes from the grid ``axes[i]`` to ``freqs[i]`` with kernel
+    exp(-i omega s) * step; ``inverse`` goes back from a dual lattice with
+    exp(i omega s) / (count * step), the dual spacing over 2 pi.
     """
-    t_pts = lattice_points([a.points() for a in t_axes])
-    phase_t = np.exp(1j * (t_pts @ tau_pts.T))
-    return np.einsum("yq,tq->yt", partial, phase_t) * _inverse_ft_weight(t_axes)
+    vals = vals.astype(complex)
+    for i, (a, omega) in enumerate(zip(axes, freqs)):
+        if inverse:
+            kernel = np.exp(1j * np.outer(a.points(), omega)) / (a.count * a.step)
+        else:
+            kernel = np.exp(-1j * np.outer(omega, a.points())) * a.step
+        moved = np.moveaxis(vals, first + i, 0)
+        vals = np.moveaxis(np.einsum("fm,m...->f...", kernel, moved), 0, first + i)
+    return vals
 
 
 def group_convolve_fourier(phi, psi, group):
@@ -546,22 +529,20 @@ def group_convolve_fourier(phi, psi, group):
     """
     _check_shared_grid(phi, psi)
     y_axes, t_axes = _group_axes(phi, group)
-    y_shape = phi.values.shape[: group.m]
+    freqs = [dual_axis_points(a) for a in t_axes]
     phi_hat, psi_hat = (
-        _ft_axes(f.values, t_axes, group.m).reshape(y_shape + (-1,))
-        for f in (phi, psi)
+        _ft_axes(f.values, t_axes, group.m, freqs) for f in (phi, psi)
     )
-    tau_pts = lattice_points([dual_axis_points(a) for a in t_axes])
-    partial = np.empty((int(np.prod(y_shape)), len(tau_pts)), dtype=complex)
-    for q, tau in enumerate(tau_pts):
+    partial = np.empty(phi_hat.shape, dtype=complex)
+    for q in np.ndindex(phi_hat.shape[group.m :]):
+        tau = np.array([omega[k] for omega, k in zip(freqs, q)])
+        node = (Ellipsis,) + q
         f, g = (
-            SampledField(axes=y_axes, values=h[..., q]) for h in (phi_hat, psi_hat)
+            SampledField(axes=y_axes, values=h[node]) for h in (phi_hat, psi_hat)
         )
-        partial[:, q] = twisted_convolve(f, g, group, tau).values.reshape(-1)
-    out = _inverse_central_ft(partial, t_axes, tau_pts)
-    return SampledField(
-        axes=phi.axes, values=out.reshape(phi.values.shape), group=group
-    )
+        partial[node] = twisted_convolve(f, g, group, tau).values
+    out = _ft_axes(partial, t_axes, group.m, freqs, inverse=True)
+    return SampledField(axes=phi.axes, values=out, group=group)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +550,16 @@ def group_convolve_fourier(phi, psi, group):
 # ---------------------------------------------------------------------------
 
 
-def abel_multiplier(frame, R, xi_hat):
+def abel_multiplier(mu, energies, R):
     """Frequency-domain factor of the Abel-summed reproducing family.
 
-    ``xi_hat`` holds frame components of the shifted frequency, shape
-    (..., 2n); the factor is prod_j (2/(1+R)) exp(-((1-R)/(1+R)) *
-    |pair_j|^2 / (4 mu_j)) and equals (2/(1+R))^n at xi_hat = 0.
+    ``energies`` (..., n) holds the energy of the shifted frequency in each
+    invariant plane of B_tau, with magnitudes ``mu`` (n,); the factor is
+    prod_j (2/(1+R)) exp(-((1-R)/(1+R)) * energies_j / (4 mu_j)) and equals
+    (2/(1+R))^n at zero frequency.  Planes of equal mu_j enter only through
+    their summed energy, so any eigenbasis of a repeated mu_j gives it.
     """
-    pairs = xi_hat[..., 0::2] ** 2 + xi_hat[..., 1::2] ** 2
-    expo = -((1.0 - R) / (1.0 + R)) * pairs / (4.0 * frame.mu)
+    expo = -((1.0 - R) / (1.0 + R)) * energies / (4.0 * mu)
     return np.prod(2.0 / (1.0 + R) * np.exp(expo), axis=-1)
 
 
@@ -588,32 +570,30 @@ def abel_approx_identity(f, group, R):
     closed multiplier form on the Euclidean Fourier side.  As R -> 1- the
     output converges to f.
     """
-    from .spectral import normalize
-
     if not 0.0 < R < 1.0:
         raise DimensionError(f"Abel parameter must be in (0,1), got {R}")
     y_axes, t_axes = _group_axes(f, group)
+    xi_freqs = [dual_axis_points(a) for a in y_axes]
     # half-offset central dual lattice: no node sits on the degenerate
     # tau = 0 plane, where the multiplier is discontinuous
-    f_hat = _ft_axes(_ft_axes(f.values, y_axes), t_axes, group.m, 0.5)
+    tau_freqs = [dual_axis_points(a, 0.5) for a in t_axes]
+    f_hat = _ft_axes(f.values, f.axes, 0, xi_freqs + tau_freqs)
     y_pts = lattice_points([a.points() for a in y_axes])
-    xi_pts = lattice_points([dual_axis_points(a) for a in y_axes])
-    tau_pts = lattice_points([dual_axis_points(a, 0.5) for a in t_axes])
+    xi_pts = lattice_points(xi_freqs)
+    tau_pts = lattice_points(tau_freqs)
     f_hat = f_hat.reshape(len(y_pts), len(tau_pts))
+    M, mu, V, _, _ = _checked_spectrum(group, tau_pts, DEGENERACY_RTOL)
 
     phase_yx = np.exp(1j * (y_pts @ xi_pts.T))
     partial = np.empty(f_hat.shape, dtype=complex)
-    for q, tau in enumerate(tau_pts):
-        frame = normalize(group, tau)
+    for q in range(len(tau_pts)):
         # the multiplier is the transform of the right convolution factor,
         # which the twist exp(-2i y.M x) evaluates at xi + 2 M^T y
-        shift = 2.0 * y_pts @ group.b_tau(tau)  # rows: 2 M^T y
-        xi_hat = (xi_pts[None, :, :] + shift[:, None, :]) @ frame.O
-        mult = abel_multiplier(frame, R, xi_hat)
+        shifted = xi_pts[None, :, :] + 2.0 * (y_pts @ M[q])[:, None, :]
+        mult = abel_multiplier(mu[q], _plane_energies(V[q], shifted), R)
         partial[:, q] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, q])
-    partial *= _inverse_ft_weight(y_axes)
-    out = _inverse_central_ft(partial, t_axes, tau_pts)
-    return SampledField(
-        axes=f.axes, values=out.reshape(f.values.shape), group=group
+    partial /= np.prod([a.count * a.step for a in y_axes])
+    out = _ft_axes(
+        partial.reshape(f.values.shape), t_axes, group.m, tau_freqs, inverse=True
     )
-
+    return SampledField(axes=f.axes, values=out, group=group)

@@ -17,16 +17,11 @@ import numpy as np
 from .errors import DimensionError, QuadratureError
 from .groups import finite_array
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
-from .spectral import DEGENERACY_RTOL, _checked_spectrum
+from .spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 
 # ---------------------------------------------------------------------------
 # fundamental-solution integrand and integral
 # ---------------------------------------------------------------------------
-
-
-def _plane_energies(V, y):
-    """Energy 2 |v_j^* y|^2 of y in each invariant plane, batched like V."""
-    return 2.0 * np.abs(np.einsum("...kj,k->...j", V.conj(), y)) ** 2
 
 
 def _spectral_integrand(mu, a, t_tau, power, jacobian=1.0):

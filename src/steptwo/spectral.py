@@ -147,6 +147,11 @@ def _checked_spectrum(group, tau, tol, strict=True):
     return M, mu, V, gap_tol, degenerate
 
 
+def _plane_energies(V, y):
+    """Energy 2 |v_j^* y|^2 of real y in each invariant plane; V and y broadcast."""
+    return 2.0 * np.abs(np.einsum("...kj,...k->...j", V.conj(), y)) ** 2
+
+
 def _fix_phase(v):
     """Rotate a complex vector so its largest-modulus entry is real positive."""
     idx = int(np.argmax(np.abs(v)))

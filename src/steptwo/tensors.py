@@ -86,9 +86,6 @@ class LaguerreTensor:
     def coefficient(self, p, k):
         return self.entries[self.address_offset(p), self.address_offset(k)]
 
-    def frobenius(self):
-        return float(np.sqrt((np.abs(self.entries) ** 2).sum()))
-
 
 def identity_tensor(frame, K):
     """Diagonal-ones tensor; a two-sided unit for band-limited products."""

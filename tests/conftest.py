@@ -14,10 +14,10 @@ from steptwo.fields import (
     dual_axis_points,
     lattice_points,
 )
-from steptwo.kernels import _plane_energies, _refine
+from steptwo.kernels import _refine
 from steptwo.quadrature import radial_nodes, sphere_rule
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
-from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum
+from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 
 
 @pytest.fixture

@@ -333,6 +333,8 @@ def test_usage_error_exit_code(monkeypatch):
          "cannot open"),
         (["laguerre", "eval", "--k", "3", "--p", "2", "--sigma", "1e200"], "sigma"),
         (["group", "--group", "preset:heisenberg-n"], "unknown group preset"),
+        (["group", "--group", "NO_FILE"], "CANNOT_OPEN_NO_FILE"),
+        (["group", "--group", "heisenberg-1"], "cannot open heisenberg-1"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
@@ -353,6 +355,8 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
         "SIDECAR": str(bad_sidecar) + ".json",
         "DIR": str(tmp_path),
         "MISSING_DIR": str(tmp_path / "missing" / "out.json"),
+        "NO_FILE": str(tmp_path / "no_such.json"),
+        "CANNOT_OPEN_NO_FILE": f"cannot open {tmp_path / 'no_such.json'}",
     }
     try:
         code = run([paths.get(a, a) for a in argv])

@@ -14,6 +14,7 @@ from steptwo.fields import (
     lattice_points,
     symmetric_axis,
 )
+from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 from conftest import (
     abel_partial_sum,
     axis_derivative_4th,
@@ -163,6 +164,16 @@ class TestPartialFourier:
             2.0 * plus.values + 3j * st.partial_fourier(g, [0.9]).values,
             atol=1e-13,
         )
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_transform_inverts_itself(self, rng, offset):
+        # an even and an odd count, behind a leading axis left untouched
+        axes = (symmetric_axis(4.0, 16), symmetric_axis(3.0, 15))
+        vals = rng.standard_normal((3, 16, 15)) + 1j * rng.standard_normal((3, 16, 15))
+        freqs = [dual_axis_points(a, offset) for a in axes]
+        fwd = _ft_axes(vals, axes, 1, freqs)
+        back = _ft_axes(fwd, axes, 1, freqs, inverse=True)
+        np.testing.assert_allclose(back, vals, rtol=0, atol=1e-12)
 
     def test_nyquist_guard(self):
         ax = symmetric_axis(2.0, 8)  # step 0.5, limit 2 pi
@@ -583,7 +594,7 @@ class TestGroupConvolution:
         # one central transform per field: column q is its partial Fourier
         # transform at tau_grid[q]
         ft_phi, ft_psi = (
-            _ft_axes(f.values, axes[4:], 4).reshape(axy.count**4, -1)
+            _ft_axes(f.values, axes[4:], 4, [taus] * 3).reshape(axy.count**4, -1)
             for f in (phi, psi)
         )
         x_pts = lattice_points([axy.points()] * 4)
@@ -611,8 +622,35 @@ class TestAbel:
     def test_multiplier_at_zero_frequency(self, h1, quat):
         for g, R in ((h1, 0.5), (quat, 0.9)):
             fr = st.normalize(g, np.ones(g.r))
-            val = abel_multiplier(fr, R, np.zeros(g.m))
+            val = abel_multiplier(fr.mu, np.zeros(g.n), R)
             assert val == pytest.approx((2.0 / (1.0 + R)) ** g.n)
+
+    def test_multiplier_does_not_depend_on_the_basis(self, quat, rng):
+        # raw eigenvectors against the normalized frame; on the quaternionic
+        # group mu_1 = mu_2 and the two bases split that plane pair
+        # differently, so only the summed energy can agree
+        R = 0.6
+        for g in (quat, random_skew_group(rng, n=2, r=2)):
+            # unit frequencies keep the factor near its peak (2/(1+R))^n
+            taus = rng.standard_normal((6, g.r))
+            taus /= np.linalg.norm(taus, axis=1, keepdims=True)
+            xi = 2.0 * rng.standard_normal((50, g.m))
+            _, mu, V, _, _ = _checked_spectrum(g, taus, DEGENERACY_RTOL)
+            split = 0.0
+            for q, tau in enumerate(taus):
+                fr = st.normalize(g, tau)
+                xi_hat = xi @ fr.O
+                pairs = xi_hat[:, 0::2] ** 2 + xi_hat[:, 1::2] ** 2
+                energies = _plane_energies(V[q], xi)
+                split = max(split, np.abs(energies - pairs).max())
+                np.testing.assert_allclose(
+                    abel_multiplier(mu[q], energies, R),
+                    abel_multiplier(fr.mu, pairs, R),
+                    rtol=0,
+                    atol=1e-14 * (2.0 / (1.0 + R)) ** g.n,
+                )
+            if g is quat:
+                assert split > 1.0
 
     def test_fixed_frequency_identity(self, h1):
         # multiplier form equals the shifted-frequency sum of twisted
@@ -633,14 +671,14 @@ class TestAbel:
             for k in range(11)
         )
         acc = twisted_direct(f, f.with_values(series), h1.b_tau(tau))
-        fhat = _ft_axes(f.values, f.axes).reshape(-1)
-        xi = np.stack(
-            np.meshgrid(dual_axis_points(ax), dual_axis_points(ax), indexing="ij"),
-            -1,
-        ).reshape(-1, 2)
+        freqs = [dual_axis_points(ax)] * 2
+        fhat = _ft_axes(f.values, f.axes, 0, freqs).reshape(-1)
+        xi = lattice_points(freqs)
         ypts = mesh.reshape(-1, 2)
         shift = 2.0 * ypts @ h1.b_tau(tau)
-        mult = abel_multiplier(fr, R, (xi[None] + shift[:, None]) @ fr.O)
+        xi_hat = (xi[None] + shift[:, None]) @ fr.O
+        energies = xi_hat[..., 0::2] ** 2 + xi_hat[..., 1::2] ** 2
+        mult = abel_multiplier(fr.mu, energies, R)
         phase = np.exp(1j * (ypts @ xi.T))
         dual_vol = (2 * np.pi / (ax.count * ax.step)) ** 2
         out = np.einsum("yx,yx,x->y", phase, mult, fhat) * dual_vol / (2 * np.pi) ** 2
