@@ -219,7 +219,7 @@ def _load_tensor(path):
             entries = np.asarray(data["entries_re"]) + 1j * np.asarray(
                 data["entries_im"]
             )
-            K = int(data["K"])
+            K = data["K"]
         except (ValueError, KeyError, TypeError) as exc:
             raise SteptwoError(f"malformed tensor file {path!r}: {exc!r}") from exc
     fr = spectral.normalize(g, tau)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GridError
-from .spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
+from .spectral import DEGENERACY_RTOL, _checked_spectrum
 
 _MAGIC = b"S2FIELD\x00"
 
@@ -563,6 +563,13 @@ def abel_multiplier(mu, energies, R):
     return np.prod(2.0 / (1.0 + R) * np.exp(expo), axis=-1)
 
 
+def _shifted_energies(mu, V, xi, y):
+    """Plane energies 2 |V_j^H (xi + 2 M^T y)|^2, shape (len(y), len(xi), n),
+    from one table over xi and one over y: M V_j = i mu_j V_j."""
+    z = (xi @ V.conj())[None] - 2j * mu * (y @ V.conj())[:, None]
+    return 2.0 * (z.real**2 + z.imag**2)
+
+
 def abel_approx_identity(f, group, R):
     """Abel-summed approximate identity applied to a sampled field.
 
@@ -582,15 +589,14 @@ def abel_approx_identity(f, group, R):
     xi_pts = lattice_points(xi_freqs)
     tau_pts = lattice_points(tau_freqs)
     f_hat = f_hat.reshape(len(y_pts), len(tau_pts))
-    M, mu, V, _, _ = _checked_spectrum(group, tau_pts, DEGENERACY_RTOL)
+    _, mu, V, _, _ = _checked_spectrum(group, tau_pts, DEGENERACY_RTOL)
 
     phase_yx = np.exp(1j * (y_pts @ xi_pts.T))
     partial = np.empty(f_hat.shape, dtype=complex)
     for q in range(len(tau_pts)):
         # the multiplier is the transform of the right convolution factor,
         # which the twist exp(-2i y.M x) evaluates at xi + 2 M^T y
-        shifted = xi_pts[None, :, :] + 2.0 * (y_pts @ M[q])[:, None, :]
-        mult = abel_multiplier(mu[q], _plane_energies(V[q], shifted), R)
+        mult = abel_multiplier(mu[q], _shifted_energies(mu[q], V[q], xi_pts, y_pts), R)
         partial[:, q] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, q])
     partial /= np.prod([a.count * a.step for a in y_axes])
     out = _ft_axes(

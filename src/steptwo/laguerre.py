@@ -95,17 +95,11 @@ def exp_laguerre_2d(k, p, y, tau_mag):
 
 @dataclass(frozen=True)
 class MultiIndexPair:
-    """Address of one basis element, in either of two equivalent forms.
-
-    "raw" mode stores the indices (k, p) of the function itself: radial
-    k_j >= 0 and angular p_j of any sign in each slot.  "basis" mode stores
-    the matrix-unit address (p, k) with all entries >= 1; the two are
-    related by  raw k = min(p, k) - 1  and  raw p = p - k  componentwise.
-    """
+    """Indices (k, p) of one basis element: radial k_j >= 0 and angular p_j
+    of any sign in each slot."""
 
     p: tuple
     k: tuple
-    mode: str = "raw"
 
     def __post_init__(self):
         p = tuple(int(v) for v in np.atleast_1d(self.p))
@@ -114,48 +108,31 @@ class MultiIndexPair:
         object.__setattr__(self, "k", k)
         if len(p) != len(k):
             raise DimensionError("index vectors p and k must have equal length")
-        if self.mode == "raw":
-            if any(v < 0 for v in k):
-                raise DimensionError(f"raw-mode k entries must be >= 0, got {k}")
-        elif self.mode == "basis":
-            if any(v < 1 for v in p) or any(v < 1 for v in k):
-                raise DimensionError(
-                    f"basis-mode entries must be >= 1, got p={p}, k={k}"
-                )
-        else:
-            raise DimensionError(f"unknown index mode {self.mode!r}")
+        if any(v < 0 for v in k):
+            raise DimensionError(f"k entries must be >= 0, got {k}")
 
     @property
     def n(self):
         return len(self.p)
 
-    def to_raw(self):
-        if self.mode == "raw":
-            return self
-        k_raw = tuple(min(p, k) - 1 for p, k in zip(self.p, self.k))
-        p_raw = tuple(p - k for p, k in zip(self.p, self.k))
-        return MultiIndexPair(p=p_raw, k=k_raw, mode="raw")
-
-    def to_basis(self):
-        if self.mode == "basis":
-            return self
-        p_b, k_b = [], []
-        for k, p in zip(self.k, self.p):
-            if p >= 0:
-                k_b.append(k + 1)
-                p_b.append(k + 1 + p)
-            else:
-                p_b.append(k + 1)
-                k_b.append(k + 1 - p)
-        return MultiIndexPair(p=tuple(p_b), k=tuple(k_b), mode="basis")
-
 
 def basis_address(p, k):
-    return MultiIndexPair(p=p, k=k, mode="basis")
+    """Indices of the matrix-unit address (p, k), all entries >= 1.
+
+    Componentwise, k = min(p, k) - 1 and p = p - k.
+    """
+    p, k = np.atleast_1d(p), np.atleast_1d(k)
+    if p.shape != k.shape:
+        raise DimensionError("index vectors p and k must have equal length")
+    if (p < 1).any() or (k < 1).any():
+        raise DimensionError(
+            f"basis address entries must be >= 1, got p={p.tolist()}, k={k.tolist()}"
+        )
+    return MultiIndexPair(p=p - k, k=np.minimum(p, k) - 1)
 
 
 def raw_index(k, p):
-    return MultiIndexPair(p=p, k=k, mode="raw")
+    return MultiIndexPair(p=p, k=k)
 
 
 def exp_laguerre(frame, idx, y):
@@ -163,11 +140,10 @@ def exp_laguerre(frame, idx, y):
 
     The product over complex slots of the 2-d block evaluated at the
     rescaled frame coordinates sqrt(mu_j(tau/|tau|)) * y_j, with one
-    mu_j(tau/|tau|) prefactor per slot.  ``idx`` is a raw-mode
-    MultiIndexPair; ``y`` has shape (..., 2n) and the result the
-    corresponding leading shape.
+    mu_j(tau/|tau|) prefactor per slot.  ``idx`` is a MultiIndexPair;
+    ``y`` has shape (..., 2n) and the result the corresponding leading
+    shape.
     """
-    idx = idx.to_raw()
     if idx.n != frame.n:
         raise DimensionError(
             f"index has {idx.n} slots but the frame has {frame.n}"
@@ -200,16 +176,15 @@ def shift_apply(frame, which, idx):
         ("Z", j) for the holomorphic field in slot j, ("Zbar", j) for its
         conjugate; j is 0-based.
     idx : MultiIndexPair
-        Raw-mode address of the basis element acted on.
+        Address of the basis element acted on.
 
     Returns
     -------
     (float, MultiIndexPair) or None
-        Shift coefficient and shifted raw address, or None when the field
+        Shift coefficient and shifted address, or None when the field
         annihilates the element (so callers can prune).
     """
     op, j = which
-    idx = idx.to_raw()
     if not 0 <= j < idx.n:
         raise DimensionError(f"slot index {j} out of range for n={idx.n}")
     mu = float(frame.mu[j])
@@ -222,7 +197,7 @@ def shift_apply(frame, which, idx):
         else:
             coeff = np.sqrt(2.0 * mu * (k[j] - p[j] + 1))
         p[j] -= 1
-        return coeff, MultiIndexPair(p=tuple(p), k=tuple(k), mode="raw")
+        return coeff, MultiIndexPair(p=p, k=k)
     if op == "Zbar":
         if p[j] <= -1:
             coeff = -np.sqrt(2.0 * mu * (k[j] - p[j]))
@@ -232,7 +207,7 @@ def shift_apply(frame, which, idx):
             coeff = -np.sqrt(2.0 * mu * k[j])
             k[j] -= 1
         p[j] += 1
-        return coeff, MultiIndexPair(p=tuple(p), k=tuple(k), mode="raw")
+        return coeff, MultiIndexPair(p=p, k=k)
     raise DimensionError(f"unknown shift operator {op!r} (use 'Z' or 'Zbar')")
 
 
@@ -240,9 +215,8 @@ def sublap_eigenvalue(frame, idx):
     """Eigenvalue of the sub-Laplacian partial symbol on one basis element.
 
     Follows from composing the two shift operators in each slot:
-    sum_j mu_j (2 k_j + 2 max(-p_j, 0) + 1) in raw indices.
+    sum_j mu_j (2 k_j + 2 max(-p_j, 0) + 1).
     """
-    idx = idx.to_raw()
     return float(
         sum(
             frame.mu[j] * (2 * idx.k[j] + 2 * max(-idx.p[j], 0) + 1)

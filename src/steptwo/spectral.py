@@ -42,7 +42,7 @@ class TauFrame:
         linearly in |tau|.
     O : ndarray, shape (2n, 2n)
         Orthogonal matrix whose column pair (2j, 2j+1) spans the invariant
-        plane of mu_j.
+        plane of mu_j; a ``slot`` frame keeps one pair.
     min_gap : float
         Smaller of: the least spacing between distinct mu values, and the
         least mu.  Degeneracy diagnostic.
@@ -66,9 +66,19 @@ class TauFrame:
         """Eigenvalue magnitudes of the unit-frequency form, mu_j(tau/|tau|)."""
         return self.mu / self.tau_mag
 
+    def slot(self, j):
+        """The one-slot frame of invariant plane j: its column pair and mu_j."""
+        mu = self.mu[j : j + 1]
+        return TauFrame(self.tau, mu, self.O[:, 2 * j : 2 * j + 2], float(mu[0]))
+
     def tau_coordinates(self, y):
         """Coordinates of y in the frame basis; an isometry with matrix O^T."""
         y = np.asarray(y, dtype=float)
+        if y.shape[-1:] != self.O.shape[:1] or not np.isfinite(y).all():
+            raise DimensionError(
+                f"points must be finite with last axis {len(self.O)}, "
+                f"got shape {y.shape}"
+            )
         return y @ self.O
 
     def complex_tau_coordinates(self, y):
@@ -85,7 +95,7 @@ class TauFrame:
         O = self.O
         return (
             float(np.abs(O.T @ M @ O - self.normal_form()).max()),
-            float(np.abs(O.T @ O - np.eye(O.shape[0])).max()),
+            float(np.abs(O.T @ O - np.eye(O.shape[1])).max()),
         )
 
 

@@ -13,17 +13,14 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import DegenerateTauError, DimensionError, GridError
-from .laguerre import (
-    basis_address,
-    exp_laguerre,
-    exp_laguerre_l2_norm_sq,
-    sublap_eigenvalue,
-)
+from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
 
 
-def _addresses(n, K):
-    """Multi-indices in {1..K}^n in lexicographic order."""
-    return [tuple(a) for a in iproduct(range(1, K + 1), repeat=n)]
+def _side(frame, K):
+    """K^n addresses per side; the truncation K must be an integer >= 1."""
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
+        raise DimensionError(f"truncation K must be an integer >= 1, got {K!r}")
+    return K**frame.n
 
 
 def _offset(multi, K):
@@ -62,7 +59,7 @@ class LaguerreTensor:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        side = self.K ** self.frame.n
+        side = _side(self.frame, self.K)
         if self.entries.shape != (side, side):
             raise DimensionError(
                 f"entries must be {side}x{side} for K={self.K}, n={self.frame.n}"
@@ -78,7 +75,8 @@ class LaguerreTensor:
         return self.frame.n
 
     def addresses(self):
-        return _addresses(self.n, self.K)
+        """Multi-indices in {1..K}^n in lexicographic order."""
+        return list(iproduct(range(1, self.K + 1), repeat=self.n))
 
     def address_offset(self, multi):
         return _offset(multi, self.K)
@@ -89,27 +87,36 @@ class LaguerreTensor:
 
 def identity_tensor(frame, K):
     """Diagonal-ones tensor; a two-sided unit for band-limited products."""
-    side = K ** frame.n
+    side = _side(frame, K)
     return LaguerreTensor(frame=frame, K=K, entries=np.eye(side, dtype=complex))
 
 
 def indicator_tensor(frame, K, p, k):
     """Single-entry tensor at row address p, column address k."""
-    side = K ** frame.n
+    side = _side(frame, K)
     entries = np.zeros((side, side), dtype=complex)
     entries[_offset(p, K), _offset(k, K)] = 1.0
     return LaguerreTensor(frame=frame, K=K, entries=entries)
 
 
 def _basis_stack(frame, K, pts):
-    """All K^(2n) basis functions on the points, shape (rows, cols, npts)."""
-    addrs = _addresses(frame.n, K)
-    side = len(addrs)
+    """All K^(2n) basis functions on the points, shape (rows, cols, npts).
+
+    Each basis function is a product over slots of one-slot functions, so
+    slot j's K x K blocks fill (j = 0) or multiply into the stack along
+    its row entry j and column entry j: n K^2 evaluations in place.
+    """
+    n = frame.n
     flat = pts.reshape(-1, pts.shape[-1])
-    stack = np.empty((side, side, flat.shape[0]), dtype=complex)
-    for i, p in enumerate(addrs):
-        for j, k in enumerate(addrs):
-            stack[i, j] = exp_laguerre(frame, basis_address(p, k), flat)
+    stack = np.empty((K**n, K**n, flat.shape[0]), dtype=complex)
+    entries = stack.reshape((K,) * (2 * n) + (flat.shape[0],))
+    for j, p, k in iproduct(range(n), range(K), range(K)):
+        block = exp_laguerre(frame.slot(j), basis_address((p + 1,), (k + 1,)), flat)
+        sub = np.moveaxis(entries, (j, n + j), (0, 1))[p, k]
+        if j == 0:
+            sub[...] = block
+        else:
+            sub *= block
     return stack
 
 
@@ -134,6 +141,7 @@ def laguerre_coefficients(f, frame, K):
     divided by their common squared norm (2/pi)^n prod_j mu_j; all
     addresses with entries <= K are retained.
     """
+    _side(frame, K)
     if frame.mu[-1] <= 0:
         raise DegenerateTauError("laguerre_coefficients needs a non-degenerate frame")
     if f.ndim != 2 * frame.n:
@@ -149,7 +157,7 @@ def laguerre_coefficients(f, frame, K):
 
 def synthesize(T, y):
     """Evaluate the truncated expansion at points y of shape (..., 2n)."""
-    y = np.asarray(y, dtype=float)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     stack = _basis_stack(T.frame, T.K, y)
     out = np.einsum("ij,ijx->x", T.entries, stack)
     return out.reshape(y.shape[:-1])
@@ -183,11 +191,12 @@ def sublap_symbol(frame, K):
     with column address k = addresses[i]; it does not depend on the row.
     The reciprocal of this array is the symbol of the inverse.
     """
+    _side(frame, K)
     if frame.mu[-1] <= 0:
         raise DegenerateTauError("sublap_symbol needs a non-degenerate frame")
-    return np.array(
-        [sublap_eigenvalue(frame, basis_address(k, k)) for k in _addresses(frame.n, K)]
-    )
+    ladder = 2.0 * np.arange(1, K + 1) - 1.0
+    # outer sum over slots: the first slot varies slowest, as in the addresses
+    return sum(np.ix_(*(mu * ladder for mu in frame.mu))).reshape(-1)
 
 
 def apply_diagonal_symbol(T, diag):

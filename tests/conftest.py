@@ -47,6 +47,18 @@ def every(k, axes):
     return tuple(slice(a.zero_index % k, None, k) for a in axes)
 
 
+def basis_stack_direct(frame, K, pts):
+    """All K^(2n) basis functions on the points, one ``exp_laguerre`` call
+    per (row, column) address pair (slow oracle); shape (rows, cols, npts)."""
+    addrs = list(product(range(1, K + 1), repeat=frame.n))
+    flat = pts.reshape(-1, pts.shape[-1])
+    stack = np.empty((len(addrs), len(addrs), flat.shape[0]), dtype=complex)
+    for i, p in enumerate(addrs):
+        for j, k in enumerate(addrs):
+            stack[i, j] = st.exp_laguerre(frame, st.basis_address(p, k), flat)
+    return stack
+
+
 def twisted_direct(f, g, M, stride=1):
     """Direct O(N^2) lattice sum of the twisted convolution (slow oracle).
 

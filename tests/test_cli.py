@@ -335,6 +335,10 @@ def test_usage_error_exit_code(monkeypatch):
         (["group", "--group", "preset:heisenberg-n"], "unknown group preset"),
         (["group", "--group", "NO_FILE"], "CANNOT_OPEN_NO_FILE"),
         (["group", "--group", "heisenberg-1"], "cannot open heisenberg-1"),
+        (["tensor", "multiply", "--a", "K0_TENSOR", "--b", "K0_TENSOR"],
+         "truncation K"),
+        (["tensor", "multiply", "--a", "K2.5_TENSOR", "--b", "K2.5_TENSOR"],
+         "truncation K"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
@@ -342,6 +346,13 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     nan_group.write_text('{"n": 1, "r": 1, "B": [[NaN]]}')
     (tmp_path / "bad.json").write_text('{"K": 2,')
     (tmp_path / "no_group.json").write_text('{"K": 2}')
+    h1_dict = json.loads(st.heisenberg(1).to_json())
+    for K, side in ((0, 1), (2.5, 2)):
+        (tmp_path / f"k{K}.json").write_text(json.dumps({
+            "K": K, "tau": [1.0], "group": h1_dict,
+            "entries_re": np.eye(side).tolist(),
+            "entries_im": np.zeros((side, side)).tolist(),
+        }))
     ax = symmetric_axis(6.0, 48)
     bad_sidecar = tmp_path / "f.field"
     SampledField(axes=(ax, ax), values=np.zeros((48, 48))).save(bad_sidecar)
@@ -351,6 +362,8 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
         "OUT": str(tmp_path / "out.csv"),
         "BAD_JSON": str(tmp_path / "bad.json"),
         "NO_GROUP": str(tmp_path / "no_group.json"),
+        "K0_TENSOR": str(tmp_path / "k0.json"),
+        "K2.5_TENSOR": str(tmp_path / "k2.5.json"),
         "BAD_SIDECAR": str(bad_sidecar),
         "SIDECAR": str(bad_sidecar) + ".json",
         "DIR": str(tmp_path),

@@ -9,6 +9,7 @@ from steptwo.fields import (
     SampledField,
     _ft_axes,
     _isotropic_split,
+    _shifted_energies,
     abel_multiplier,
     dual_axis_points,
     lattice_points,
@@ -398,10 +399,10 @@ class TestTwistedConvolution:
 
         # Y along the first frame column is Z + Zbar
         ops = (("Z", 1.0), ("Zbar", 1.0))
-        lhs = apply_shift_sum(fg_idx.to_raw(), ops)
+        lhs = apply_shift_sum(fg_idx, ops)
         g_img_ops = []
         for op, weight in ops:
-            res = st.shift_apply(fr, (op, 0), g_idx.to_raw())
+            res = st.shift_apply(fr, (op, 0), g_idx)
             if res is not None:
                 g_img_ops.append((weight * res[0], res[1]))
         rhs = np.zeros_like(lhs)
@@ -651,6 +652,20 @@ class TestAbel:
                 )
             if g is quat:
                 assert split > 1.0
+
+    def test_shifted_energies_from_two_tables(self, quat, rng):
+        # the per-node tables give the energies of the shifted frequency
+        # xi + 2 M^T y without forming it
+        for g in (quat, random_skew_group(rng, n=2, r=2)):
+            taus = rng.standard_normal((4, g.r))
+            M, mu, V, _, _ = _checked_spectrum(g, taus, DEGENERACY_RTOL)
+            xi = 2.0 * rng.standard_normal((30, g.m))
+            y = rng.standard_normal((20, g.m))
+            for q in range(len(taus)):
+                shifted = xi[None, :, :] + 2.0 * (y @ M[q])[:, None, :]
+                want = _plane_energies(V[q], shifted)
+                got = _shifted_energies(mu[q], V[q], xi, y)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fixed_frequency_identity(self, h1):
         # multiplier form equals the shifted-frequency sum of twisted

@@ -144,11 +144,13 @@ class TestPlanarBasis:
 
 class TestMultiIndexPair:
     def test_roundtrip(self):
-        raw = st.raw_index((2, 0), (-1, 3))
-        basis = raw.to_basis()
-        assert basis.p == (3, 4) and basis.k == (4, 1)
-        back = basis.to_raw()
-        assert back.k == raw.k and back.p == raw.p
+        # basis_address converts a matrix-unit address to the indices (k, p)
+        for p in range(1, 5):
+            for k in range(1, 5):
+                idx = st.basis_address((p,), (k,))
+                assert idx.k == (min(p, k) - 1,) and idx.p == (p - k,)
+        idx = st.basis_address((3, 1), (2, 4))
+        assert idx.k == (1, 0) and idx.p == (1, -3)
 
     def test_basis_validation(self):
         with pytest.raises(st.DimensionError):
@@ -208,6 +210,15 @@ class TestTensorBasis:
                 np.abs(st.exp_laguerre(fr, idx, pts)),
                 atol=1e-12,
             )
+
+    def test_points_are_checked(self, quat):
+        fr = st.normalize(quat, [0.3, -0.5, 0.8])
+        idx = st.raw_index((0, 0), (0, 0))
+        bad_nan = np.zeros((5, 4))
+        bad_nan[2, 1] = np.nan
+        for pts in (np.zeros((5, 3)), bad_nan, np.full((2, 4), np.inf), 1.0):
+            with pytest.raises(st.DimensionError, match="points must be finite"):
+                st.exp_laguerre(fr, idx, pts)
 
 
 class TestShiftOperators:

@@ -92,6 +92,22 @@ def test_tau_coordinates_isometry(rng, quat):
         )
 
 
+def test_slot_frame(rng, quat):
+    fr = st.normalize(quat, [0.2, 0.5, -0.8])
+    y = rng.standard_normal((7, 4))
+    for j in range(fr.n):
+        slot = fr.slot(j)
+        assert slot.n == 1 and slot.mu[0] == fr.mu[j] and slot.tau_mag == fr.tau_mag
+        np.testing.assert_allclose(
+            slot.tau_coordinates(y),
+            fr.tau_coordinates(y)[:, 2 * j : 2 * j + 2],
+            rtol=0,
+            atol=1e-14,
+        )
+        resid, ortho = slot.residuals(quat.b_tau(fr.tau))
+        assert max(resid, ortho) < 1e-12
+
+
 def test_b_form_in_tau_coordinates(rng):
     g = random_skew_group(rng, n=3, r=2)
     tau = rng.standard_normal(2)

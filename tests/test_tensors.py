@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import steptwo as st
-from steptwo.fields import SampledField, symmetric_axis
+from steptwo.fields import SampledField, lattice_points, symmetric_axis
+from steptwo.tensors import _basis_stack
+from conftest import basis_stack_direct, random_skew_group
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,49 @@ class TestStructure:
         with pytest.raises(st.DimensionError, match="finite"):
             st.LaguerreTensor(frame=frame, K=4, entries=bad)
 
+    def test_truncation_must_be_a_positive_integer(self, frame, grid96):
+        f = SampledField.from_function(grid96, lambda p: np.exp(-np.sum(p**2, -1)))
+        calls = (
+            lambda K: st.laguerre_coefficients(f, frame, K),
+            lambda K: st.sublap_symbol(frame, K),
+            lambda K: st.identity_tensor(frame, K),
+            lambda K: st.indicator_tensor(frame, K, (1,), (1,)),
+            lambda K: st.LaguerreTensor(frame=frame, K=K, entries=np.eye(1)),
+        )
+        for K in (0, -1, 2.5, True, "3"):
+            for call in calls:
+                with pytest.raises(st.DimensionError, match="truncation K"):
+                    call(K)
+
+
+class TestBasisStack:
+    def _lattice(self, n, count):
+        return lattice_points([symmetric_axis(6.0, count).points()] * (2 * n))
+
+    def test_heisenberg_stack_is_the_direct_stack(self, frame):
+        pts = self._lattice(1, 64)
+        for K in (3, 6):
+            assert np.array_equal(
+                _basis_stack(frame, K, pts), basis_stack_direct(frame, K, pts)
+            )
+
+    def test_product_over_slots(self, quat, rng):
+        # slot factors multiply in a different order than in exp_laguerre,
+        # so agreement is to rounding
+        quat_frame = st.normalize(quat, [0.3, -0.5, 0.8])
+        cases = (
+            (quat_frame, 2, self._lattice(2, 20)),
+            (quat_frame, 3, self._lattice(2, 12)),
+            (st.normalize(random_skew_group(rng, n=2, r=2), [0.7, -0.4]), 3,
+             rng.standard_normal((500, 4))),
+            (st.normalize(random_skew_group(rng, n=3, r=1), [1.1]), 2,
+             rng.standard_normal((500, 6))),
+        )
+        for fr, K, pts in cases:
+            want = basis_stack_direct(fr, K, pts)
+            got = _basis_stack(fr, K, pts)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
 
 class TestAnalysisSynthesis:
     def test_ground_state_single_entry(self, frame, grid96):
@@ -117,6 +162,12 @@ class TestAnalysisSynthesis:
             st.exp_laguerre(frame, st.basis_address((2,), (1,)), pts),
             atol=1e-13,
         )
+
+    def test_synthesis_points_are_checked(self, frame):
+        T = st.identity_tensor(frame, 3)
+        for pts in (np.zeros((5, 3)), np.array([[0.0, np.nan]]), 1.0):
+            with pytest.raises(st.DimensionError, match="points must be finite"):
+                st.synthesize(T, pts)
 
     def test_resolution_guard(self, frame):
         coarse = (symmetric_axis(6.0, 24),) * 2
