@@ -41,7 +41,7 @@ for op in (("Z", 0), ("Zbar", 0), ("Zbar", 0), ("Zbar", 0)):
     print(f"  {op[0]}: coefficient {coeff:+.4f} -> k={state.k} p={state.p}")
 
 # Composing the two shifts in each slot diagonalizes the sub-Laplacian:
-# the eigenvalue on a radial element with index k is mu (2k + 1).
-for k in range(4):
-    ev = st.sublap_eigenvalue(frame, st.raw_index((k,), (0,)))
+# the eigenvalue on a radial element with index k is mu (2k + 1), entry k
+# of its symbol over the column addresses 1..4.
+for k, ev in enumerate(st.sublap_symbol(frame, 4)):
     print(f"sub-Laplacian eigenvalue at k={k}: {ev}")

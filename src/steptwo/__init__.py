@@ -55,7 +55,6 @@ from .laguerre import (
     laguerre_poly,
     raw_index,
     shift_apply,
-    sublap_eigenvalue,
 )
 from .spectral import (
     ScanReport,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GridError
-from .spectral import DEGENERACY_RTOL, _checked_spectrum
+from .spectral import _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum
 
 _MAGIC = b"S2FIELD\x00"
 
@@ -69,12 +69,6 @@ def lattice_points(coords):
     )
 
 
-def _mesh(axes):
-    """All grid points of the axes, shape (*counts, ndim)."""
-    shape = tuple(a.count for a in axes) + (len(axes),)
-    return lattice_points([a.points() for a in axes]).reshape(shape)
-
-
 def symmetric_axis(radius, count):
     """Axis covering about [-radius, radius) with the origin on the lattice."""
     step = 2.0 * radius / count
@@ -114,21 +108,10 @@ class SampledField:
     def cell_volume(self):
         return float(np.prod([a.step for a in self.axes]))
 
-    def grids(self):
-        return [a.points() for a in self.axes]
-
     def mesh(self):
         """All grid points, shape (*counts, ndim)."""
-        return _mesh(self.axes)
-
-    def flat_points(self):
-        return lattice_points(self.grids())
-
-    def integrate(self):
-        return complex(self.values.sum() * self.cell_volume)
-
-    def l1_norm(self):
-        return float(np.abs(self.values).sum() * self.cell_volume)
+        pts = lattice_points([a.points() for a in self.axes])
+        return pts.reshape(self.values.shape + (self.ndim,))
 
     @classmethod
     def from_function(cls, axes, fn, group=None, tau=None):
@@ -218,7 +201,7 @@ class SampledField:
 
     def to_csv(self, path):
         """One row per grid point: coordinates, then re, im."""
-        pts = self.flat_points()
+        pts = lattice_points([a.points() for a in self.axes])
         vals = self.values.reshape(-1)
         data = np.column_stack([pts, vals.real, vals.imag])
         header = ",".join([f"x{i}" for i in range(self.ndim)] + ["re", "im"])
@@ -292,12 +275,6 @@ def partial_fourier(f, tau):
 # ---------------------------------------------------------------------------
 
 
-# Complex elements in one chunk of the FFT engine's per-row arrays; a few
-# such arrays are live at once, so the engine's working memory stays near
-# a fixed size whatever the grid.
-_FFT_CHUNK_ELEMENTS = 1 << 18
-
-
 def _isotropic_split(M):
     """Axes (P, Q) with M[Q, Q] = 0, Q chosen greedily from the last axis.
 
@@ -364,7 +341,7 @@ def _twisted_engine(f, g, M):
     gw = split(g.values) * f.cell_volume
     phase_qp = np.exp(-1j * (x_q @ twoM[np.ix_(Q, P)]) @ x_p.T)
     out = np.empty((len(x_p), len(x_q)), dtype=complex)
-    rows = max(1, _FFT_CHUNK_ELEMENTS // (len(x_p) * f_hat.shape[1]))
+    rows = max(1, _CHUNK_ELEMENTS // (len(x_p) * f_hat.shape[1]))
     for lo_b in range(0, len(x_p), rows):
         b = slice(lo_b, lo_b + rows)
         mod = np.exp(-1j * (x_p[b] @ twoM[np.ix_(P, Q)]) @ x_q.T)
@@ -445,7 +422,7 @@ def group_convolve(phi, psi, group):
     freqs = [np.fft.fftfreq(L) for L in pad]
     # convolution index of s_i - 2 lo before the twist: i + zero_index
     untwisted = [np.arange(a.count) + a.zero_index for a in t_axes]
-    chunk = max(1, _FFT_CHUNK_ELEMENTS // int(np.prod(pad)))
+    chunk = max(1, _CHUNK_ELEMENTS // int(np.prod(pad)))
     out = np.empty((n_y,) + t_counts, dtype=complex)
     for row in range(n_y):
         # lattice index of y - x and the central twist 2 B(x, y) / step per x

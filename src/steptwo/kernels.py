@@ -17,7 +17,9 @@ import numpy as np
 from .errors import DimensionError, QuadratureError
 from .groups import finite_array
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
-from .spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
+from .spectral import (
+    _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum, _plane_energies,
+)
 
 # ---------------------------------------------------------------------------
 # fundamental-solution integrand and integral
@@ -85,11 +87,6 @@ def _refine(run_pass, max_refine, tol, what):
     )
 
 
-# element budget of one chunk of sphere nodes in the (sphere x radial x n)
-# integrand temporaries; bounds a pass's working memory
-_SPHERE_CHUNK_ELEMENTS = 2**18
-
-
 def _fs_quadrature(group, y, t, radial, sphere_level):
     """One pass of the radial x spherical quadrature at fixed resolution."""
     n, r = group.n, group.r
@@ -103,7 +100,7 @@ def _fs_quadrature(group, y, t, radial, sphere_level):
     rho, rw = radial_nodes(radial, np.sum(mu, axis=1))
 
     vals = np.empty(rho.shape, dtype=complex)
-    chunk = max(1, _SPHERE_CHUNK_ELEMENTS // (rho.shape[1] * n))
+    chunk = max(1, _CHUNK_ELEMENTS // (rho.shape[1] * n))
     for lo in range(0, len(pts), chunk):
         s = slice(lo, lo + chunk)
         vals[s] = _spectral_integrand(
@@ -160,25 +157,32 @@ def fundamental_solution(
 # ---------------------------------------------------------------------------
 
 
-def horizontal_laplacian_residual(group, points, h=1e-2, fn=None, **quad):
-    """Apply the sub-Laplacian to the fundamental solution by differences.
-
-    For each point, -1/4 sum_k Y_k^2 applied as nested central differences
-    along the left-invariant coefficient fields; y must stay away from the
-    origin by a safe multiple of the step.  Returns the max |residual| and
-    the per-point values.  ``fn`` overrides the probed function (signature
-    fn(y, t) -> complex) for stencil sanity checks.
-    """
-    if fn is None:
-        def fn(yy, tt):
-            return complex(
-                fundamental_solution(group, yy, tt, **quad).value
-            )
+def _sublaplacian_by_differences(group, fn, y, t, h):
+    """-1/4 sum_k Y_k^2 fn at (y, t), as nested central differences of step
+    h along the left-invariant coefficient fields; fn(y, t) -> complex."""
 
     def y_deriv(k, yy, tt, g):
         d = group.vector_field_coefficients(k, group.point(yy, tt))
         stepy, stept = h * d[: group.m], h * d[group.m :]
         return (g(yy + stepy, tt + stept) - g(yy - stepy, tt - stept)) / (2 * h)
+
+    acc = 0.0 + 0.0j
+    for k in range(group.m):
+        inner = lambda a, b, k=k: y_deriv(k, a, b, fn)
+        acc += y_deriv(k, y, t, inner)
+    return -0.25 * acc
+
+
+def horizontal_laplacian_residual(group, points, h=1e-2, **quad):
+    """Apply the sub-Laplacian to the fundamental solution by differences.
+
+    For each point, ``_sublaplacian_by_differences`` of the fundamental
+    solution; y must stay away from the origin by a safe multiple of the
+    step.  Returns the max |residual| and the per-point values.
+    """
+
+    def psi(yy, tt):
+        return complex(fundamental_solution(group, yy, tt, **quad).value)
 
     residuals = []
     for p in points:
@@ -189,11 +193,7 @@ def horizontal_laplacian_residual(group, points, h=1e-2, fn=None, **quad):
                 f"probe point with |y| = {np.linalg.norm(yy):.3g} is closer "
                 f"than 10 h = {10 * h:.3g} to the singular set"
             )
-        acc = 0.0 + 0.0j
-        for k in range(group.m):
-            inner = lambda a, b, k=k: y_deriv(k, a, b, fn)
-            acc += y_deriv(k, yy, tt, inner)
-        residuals.append(-0.25 * acc)
+        residuals.append(_sublaplacian_by_differences(group, psi, yy, tt, h))
     residuals = np.array(residuals)
     return float(np.abs(residuals).max()), residuals
 

@@ -93,6 +93,15 @@ def exp_laguerre_2d(k, p, y, tau_mag):
     return (2.0 * tau_mag / np.pi) * sign * radial * np.exp(1j * p * theta)
 
 
+def _indices(values, name):
+    """Entries of an index vector as ints; a non-integer entry is an error."""
+    entries = np.atleast_1d(values).tolist()
+    if not all(isinstance(v, (int, float)) and float(v).is_integer()
+               for v in entries):
+        raise DimensionError(f"{name} entries must be integers, got {values!r}")
+    return tuple(int(v) for v in entries)
+
+
 @dataclass(frozen=True)
 class MultiIndexPair:
     """Indices (k, p) of one basis element: radial k_j >= 0 and angular p_j
@@ -102,8 +111,7 @@ class MultiIndexPair:
     k: tuple
 
     def __post_init__(self):
-        p = tuple(int(v) for v in np.atleast_1d(self.p))
-        k = tuple(int(v) for v in np.atleast_1d(self.k))
+        p, k = _indices(self.p, "p"), _indices(self.k, "k")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         if len(p) != len(k):
@@ -121,7 +129,7 @@ def basis_address(p, k):
 
     Componentwise, k = min(p, k) - 1 and p = p - k.
     """
-    p, k = np.atleast_1d(p), np.atleast_1d(k)
+    p, k = np.array(_indices(p, "p")), np.array(_indices(k, "k"))
     if p.shape != k.shape:
         raise DimensionError("index vectors p and k must have equal length")
     if (p < 1).any() or (k < 1).any():
@@ -209,17 +217,3 @@ def shift_apply(frame, which, idx):
         p[j] += 1
         return coeff, MultiIndexPair(p=p, k=k)
     raise DimensionError(f"unknown shift operator {op!r} (use 'Z' or 'Zbar')")
-
-
-def sublap_eigenvalue(frame, idx):
-    """Eigenvalue of the sub-Laplacian partial symbol on one basis element.
-
-    Follows from composing the two shift operators in each slot:
-    sum_j mu_j (2 k_j + 2 max(-p_j, 0) + 1).
-    """
-    return float(
-        sum(
-            frame.mu[j] * (2 * idx.k[j] + 2 * max(-idx.p[j], 0) + 1)
-            for j in range(idx.n)
-        )
-    )

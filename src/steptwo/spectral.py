@@ -28,6 +28,11 @@ FRAME_TOL = 1e-10
 # Minimum squared overlap for continuation to accept an eigenspace match.
 _MATCH_THRESHOLD = 0.5
 
+# Element budget of one chunk of every chunked loop (the FFT engine's
+# per-row arrays, the sphere-node integrand temporaries): a few such arrays
+# are live at once, so working memory stays near a fixed size.
+_CHUNK_ELEMENTS = 2**18
+
 
 @dataclass(frozen=True)
 class TauFrame:
@@ -334,10 +339,6 @@ class ScanReport:
         for row in self.rows:
             counts[row.pattern] = counts.get(row.pattern, 0) + 1
         return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-    @property
-    def flagged_rows(self):
-        return tuple(row for row in self.rows if row.flagged)
 
 
 def degeneracy_scan(group, samples, tol=DEGENERACY_RTOL):

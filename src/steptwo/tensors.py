@@ -49,9 +49,9 @@ def frames_compatible(a, b):
 class LaguerreTensor:
     """Truncated coefficient matrix of a function at one frequency.
 
-    ``entries[i, j]`` is the coefficient at row address p = addresses[i]
-    and column address k = addresses[j], with addresses enumerated
-    lexicographically over {1..K}^n.
+    ``entries[i, j]`` is the coefficient at row address p and column
+    address k, where i and j are the offsets ``_offset(p, K)`` and
+    ``_offset(k, K)``: addresses enumerated lexicographically over {1..K}^n.
     """
 
     frame: object
@@ -73,16 +73,6 @@ class LaguerreTensor:
     @property
     def n(self):
         return self.frame.n
-
-    def addresses(self):
-        """Multi-indices in {1..K}^n in lexicographic order."""
-        return list(iproduct(range(1, self.K + 1), repeat=self.n))
-
-    def address_offset(self, multi):
-        return _offset(multi, self.K)
-
-    def coefficient(self, p, k):
-        return self.entries[self.address_offset(p), self.address_offset(k)]
 
 
 def identity_tensor(frame, K):
@@ -188,7 +178,7 @@ def sublap_symbol(frame, K):
     """The sub-Laplacian's diagonal symbol on K^n column addresses.
 
     Entry i is its eigenvalue sum_j mu_j (2 k_j - 1) on the basis elements
-    with column address k = addresses[i]; it does not depend on the row.
+    with column address k at offset i; it does not depend on the row.
     The reciprocal of this array is the symbol of the inverse.
     """
     _side(frame, K)

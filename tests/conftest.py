@@ -47,6 +47,18 @@ def every(k, axes):
     return tuple(slice(a.zero_index % k, None, k) for a in axes)
 
 
+def sublap_eigenvalue(frame, idx):
+    """Sub-Laplacian eigenvalue on the basis element with raw indices idx,
+    from composing the two shift operators in each slot (oracle of
+    ``sublap_symbol``): sum_j mu_j (2 k_j + 2 max(-p_j, 0) + 1)."""
+    return float(
+        sum(
+            frame.mu[j] * (2 * idx.k[j] + 2 * max(-idx.p[j], 0) + 1)
+            for j in range(idx.n)
+        )
+    )
+
+
 def basis_stack_direct(frame, K, pts):
     """All K^(2n) basis functions on the points, one ``exp_laguerre`` call
     per (row, column) address pair (slow oracle); shape (rows, cols, npts)."""

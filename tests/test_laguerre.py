@@ -1,10 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import eval_genlaguerre
 
 import steptwo as st
-from conftest import laguerre_series_oracle
+from steptwo.tensors import _offset
+from conftest import laguerre_series_oracle, sublap_eigenvalue
 
 
 class TestPolynomials:
@@ -159,6 +162,11 @@ class TestMultiIndexPair:
             st.raw_index((-1,), (0,))
         with pytest.raises(st.DimensionError):
             st.MultiIndexPair(p=(1,), k=(1, 2))
+        # fractional indices are rejected, not truncated
+        with pytest.raises(st.DimensionError, match=r"integers, got \(2\.5,\)"):
+            st.basis_address((2.5,), (1,))
+        with pytest.raises(st.DimensionError, match=r"integers, got \(1\.5,\)"):
+            st.raw_index((1.5,), (0,))
 
 
 class TestTensorBasis:
@@ -291,6 +299,13 @@ class TestShiftOperators:
                 assert i2.k == idx.k and i2.p == idx.p
                 total += c1 * c2
             assert -0.5 * total == pytest.approx(fr.mu[j] * (2 * idx.k[j] + 1))
-        assert st.sublap_eigenvalue(fr, idx) == pytest.approx(
+        assert sublap_eigenvalue(fr, idx) == pytest.approx(
             fr.mu[0] * 5 + fr.mu[1] * 3
         )
+        # the symbol of every basis element depends on its column address only
+        K = 3
+        symbol = st.sublap_symbol(fr, K)
+        for p, k in product(product(range(1, K + 1), repeat=2), repeat=2):
+            assert symbol[_offset(k, K)] == pytest.approx(
+                sublap_eigenvalue(fr, st.basis_address(p, k))
+            )

@@ -3,7 +3,7 @@ import pytest
 
 import steptwo as st
 from steptwo.fields import SampledField, lattice_points, symmetric_axis
-from steptwo.tensors import _basis_stack
+from steptwo.tensors import _basis_stack, _offset
 from conftest import basis_stack_direct, random_skew_group
 
 
@@ -46,7 +46,7 @@ class TestStructure:
             b = st.indicator_tensor(frame, 4, (q,), (1,))
             prod = st.tensor_multiply(a, b)
             if q == 3:
-                assert prod.coefficient((2,), (1,)) == 1.0
+                assert prod.entries[_offset((2,), 4), _offset((1,), 4)] == 1.0
                 assert np.abs(prod.entries).sum() == 1.0
             else:
                 assert np.abs(prod.entries).max() == 0.0
@@ -63,11 +63,10 @@ class TestStructure:
             )
 
     def test_address_validation(self, frame):
-        t = st.identity_tensor(frame, 4)
-        with pytest.raises(st.DimensionError):
-            t.coefficient((0,), (1,))
-        with pytest.raises(st.DimensionError):
-            t.coefficient((5,), (1,))
+        with pytest.raises(st.DimensionError, match="outside the truncation"):
+            st.indicator_tensor(frame, 4, (0,), (1,))
+        with pytest.raises(st.DimensionError, match="outside the truncation"):
+            st.indicator_tensor(frame, 4, (5,), (1,))
 
     def test_entries_must_be_finite(self, frame):
         bad = np.full((4, 4), np.inf, dtype=complex)
@@ -125,7 +124,7 @@ class TestAnalysisSynthesis:
             lambda p: st.exp_laguerre(frame, st.raw_index((0,), (0,)), p),
         )
         T = st.laguerre_coefficients(f, frame, 6)
-        assert T.coefficient((1,), (1,)) == pytest.approx(1.0, abs=1e-10)
+        assert T.entries[0, 0] == pytest.approx(1.0, abs=1e-10)
         off = T.entries.copy()
         off[0, 0] = 0.0
         assert np.abs(off).max() < 1e-10
