@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, QuadratureError
-from .groups import finite_array
+from .groups import quaternionic_heisenberg
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
 from .spectral import (
     _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum, _plane_energies,
@@ -222,43 +222,32 @@ class SzegoData:
         return float(np.linalg.norm(self.tau)) * self.M + 1j * self.D
 
 
-def _weight_matrix(k):
-    d = np.full(k + 1, 2.0)
-    d[0] = d[-1] = 1.0
-    return np.diag(d)
+def null_vector(k, tau_hat):
+    """Unit null vectors of the level-k matrix at unit frequencies.
 
-
-def _central_matrix(k, tau):
-    D = np.zeros((k + 1, k + 1), dtype=complex)
-    up = tau[1] - 1j * tau[2]
-    dn = -tau[1] - 1j * tau[2]
-    for i in range(k):
-        D[i, i + 1] = up
-        D[i + 1, i] = dn
-    D[0, 0] = 1j * tau[0]
-    D[k, k] = -1j * tau[0]
-    return D
-
-
-def null_vector(k, tau_dot):
-    """Closed-form unit null vector of the level-k matrix at a unit tau.
-
-    The formula degenerates to 0/0 exactly at tau = (-1, 0, 0), where the
-    null vector is the last basis vector; only the rank-one projection
-    built from e1 is continuous across that pole, the vector's phase is not.
+    ``tau_hat`` has shape (..., 3) and the result (..., k+1).  Entry j is
+    proportional to a^(k-j) b^j with a = 1 + tau_0 and b = i tau_1 - tau_2;
+    both are divided by m = max(a, |b|) before the powers, so no entry
+    overflows or underflows.  At the pole tau_hat = (-1, 0, 0), where
+    m = 0, the null vector is the last basis vector; only the rank-one
+    projection is continuous across that pole, the vector's phase is not.
     """
-    if 1.0 + tau_dot[0] <= 1e-14:
-        e = np.zeros(k + 1, dtype=complex)
-        e[-1] = 1.0
-        return e
-    a = 1.0 + tau_dot[0]
-    b = 1j * tau_dot[1] - tau_dot[2]
-    e = np.array([a ** (k - j) * b**j for j in range(k + 1)], dtype=complex)
-    gamma_sq = sum(a ** (2 * k - j) * (1.0 - tau_dot[0]) ** j for j in range(k + 1))
-    return e / np.sqrt(gamma_sq)
+    tau_hat = np.asarray(tau_hat, dtype=float)
+    a = 1.0 + tau_hat[..., 0]
+    b = 1j * tau_hat[..., 1] - tau_hat[..., 2]
+    m = np.maximum(a, np.abs(b))
+    pole = m == 0.0
+    m = np.where(pole, 1.0, m)[..., None]
+    j = np.arange(k + 1)
+    e = (b[..., None] / m) ** j
+    e *= (a[..., None] / m) ** (k - j)
+    e[pole] = j == k
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    return e
 
 
-# a = 1 + tau_0 reaches 2: the a^(2k) of ``null_vector`` overflows from k = 512
+# an input bound, not a numerical one: the kernel is a (k+1)^2 matrix and
+# one quadrature pass costs nodes * (k+1)^2
 MAX_LEVEL = 511
 
 
@@ -270,20 +259,24 @@ def _check_level(k):
 
 
 def szego_data(k, tau):
-    """Matrices and null data of the level-k operator at frequency tau."""
+    """Matrices and null data of the level-k operator at frequency tau.
+
+    M = diag(1, 2, ..., 2, 1); D has tau_1 - i tau_2 above the diagonal,
+    -tau_1 - i tau_2 below it and the corners i tau_0, -i tau_0.
+    """
     _check_level(k)
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if tau.size != 3 or not np.any(tau):
         raise DimensionError("szego_data needs a nonzero tau in R^3")
-    tau_dot = tau / np.linalg.norm(tau)
-    e1 = null_vector(k, tau_dot)
+    weights = np.full(k + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    D = np.diag(np.full(k, tau[1] - 1j * tau[2]), 1)
+    np.fill_diagonal(D[1:], -tau[1] - 1j * tau[2])
+    D[0, 0] = 1j * tau[0]
+    D[k, k] = -1j * tau[0]
+    e1 = null_vector(k, tau / np.linalg.norm(tau))
     return SzegoData(
-        k=k,
-        tau=tau,
-        M=_weight_matrix(k),
-        D=_central_matrix(k, tau),
-        e1=e1,
-        P=np.outer(e1, e1.conj()),
+        k=k, tau=tau, M=np.diag(weights), D=D, e1=e1, P=np.outer(e1, e1.conj())
     )
 
 
@@ -292,13 +285,16 @@ SZEGO_CONSTANT = 2**7 * 3 / (2.0 * np.pi) ** 5
 
 
 def _szego_pass(k, y, s, level):
+    """One sphere pass: the weighted power at every node, then the
+    projections contracted chunk by chunk (einsum, not BLAS, so the sum
+    order does not depend on the thread count)."""
     pts, wts = sphere_rule(3, level)
-    y2 = float(np.dot(y, y))
+    w = wts * np.exp(-5.0 * np.log(y @ y - 1j * np.einsum("si,i->s", pts, s)))
     acc = np.zeros((k + 1, k + 1), dtype=complex)
-    for tdot, w in zip(pts, wts):
-        e1 = null_vector(k, tdot)
-        base = y2 - 1j * float(np.dot(tdot, s))
-        acc += (w * np.exp(-5.0 * np.log(base + 0j))) * np.outer(e1, e1.conj())
+    chunk = max(1, _CHUNK_ELEMENTS // (k + 1))
+    for lo in range(0, len(pts), chunk):
+        e = null_vector(k, pts[lo : lo + chunk])
+        acc += np.einsum("s,si,sj->ij", w[lo : lo + chunk], e, e.conj())
     return SZEGO_CONSTANT * acc, wts.size
 
 
@@ -310,10 +306,7 @@ def szego_kernel(k, y, s, level=20, tol=1e-10, max_refine=3):
     of |y|^2 - i tau.s (positive real part for y != 0).
     """
     _check_level(k)
-    y = finite_array(y, "szego_kernel point").reshape(-1)
-    s = finite_array(s, "szego_kernel point").reshape(-1)
-    if y.size != 4 or s.size != 3:
-        raise DimensionError("szego_kernel expects y in R^4 and s in R^3")
+    y, s = quaternionic_heisenberg().point(y, s)
     if not np.any(y):
         raise DimensionError(
             "szego_kernel requires y != 0 (the changed-contour evaluation is "

@@ -14,7 +14,7 @@ from steptwo.fields import (
     dual_axis_points,
     lattice_points,
 )
-from steptwo.kernels import _refine
+from steptwo.kernels import SZEGO_CONSTANT, _refine
 from steptwo.quadrature import radial_nodes, sphere_rule
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
 from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
@@ -304,6 +304,51 @@ def dense_fs_integrand(group, tau, y, t):
     base = float(y @ coth_mat @ y) + 1j * float(t @ tau)
     power = group.n + group.r - 1
     return det_factor * base ** (-power)
+
+
+def null_vector_unscaled(k, tau_hat):
+    """Unit null vector of the level-k Szego matrix at one unit frequency,
+    from the unscaled powers a^(k-j) b^j and their norm
+    gamma^2 = sum_j a^(2k-j) (1 - tau_0)^j (oracle of ``null_vector``;
+    underflows to 0/0 near tau_hat = (-1, 0, 0) from about k = 100)."""
+    if 1.0 + tau_hat[0] <= 1e-14:
+        e = np.zeros(k + 1, dtype=complex)
+        e[-1] = 1.0
+        return e
+    a = 1.0 + tau_hat[0]
+    b = 1j * tau_hat[1] - tau_hat[2]
+    e = np.array([a ** (k - j) * b**j for j in range(k + 1)], dtype=complex)
+    gamma_sq = sum(a ** (2 * k - j) * (1.0 - tau_hat[0]) ** j for j in range(k + 1))
+    return e / np.sqrt(gamma_sq)
+
+
+def szego_pass_loop(k, y, s, level):
+    """One Szego sphere pass node by node: one unscaled null vector and one
+    outer product per node (slow oracle of ``kernels._szego_pass``)."""
+    pts, wts = sphere_rule(3, level)
+    y2 = float(np.dot(y, y))
+    acc = np.zeros((k + 1, k + 1), dtype=complex)
+    for tdot, w in zip(pts, wts):
+        e1 = null_vector_unscaled(k, tdot)
+        base = y2 - 1j * float(np.dot(tdot, s))
+        acc += (w * np.exp(-5.0 * np.log(base + 0j))) * np.outer(e1, e1.conj())
+    return SZEGO_CONSTANT * acc, wts.size
+
+
+def szego_at_zero_central(k, y):
+    """Szego kernel at s = 0 for any level k, as a 1-D integral.
+
+    By symmetry about the tau_0 axis the sphere integral of P is diagonal:
+    entry j is 2 pi int_{-1}^{1} a^(k-j) (1-x)^j / sum_i a^(k-i) (1-x)^i dx
+    with a = 1 + x, here on 400 Gauss-Legendre nodes.  The kernel is
+    SZEGO_CONSTANT |y|^(-10) times that diagonal.
+    """
+    x, w = np.polynomial.legendre.leggauss(400)
+    j = np.arange(k + 1)
+    terms = (1.0 + x[:, None]) ** (k - j) * (1.0 - x[:, None]) ** j
+    diag = 2.0 * np.pi * (w @ (terms / terms.sum(axis=1, keepdims=True)))
+    y = np.asarray(y, dtype=float)
+    return SZEGO_CONSTANT * float(y @ y) ** -5 * np.diag(diag)
 
 
 def axis_derivative_4th(values, axis, step):

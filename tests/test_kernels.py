@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import steptwo as st
+import steptwo.kernels as kernels
 from steptwo.kernels import SZEGO_CONSTANT, _sublaplacian_by_differences
 from steptwo.tensors import _offset
 from conftest import (
     abel_fundamental_solution,
     dense_fs_integrand,
     random_skew_group,
+    szego_at_zero_central,
+    szego_pass_loop,
 )
 
 
@@ -255,6 +258,8 @@ class TestSzego:
         for y, s in (([np.nan, 0, 0, 0], [0.0, 0, 0]), ([1.0, 0, 0, 0], [0, np.inf, 0])):
             with pytest.raises(st.DimensionError, match="finite"):
                 st.szego_kernel(1, y, s)
+        with pytest.raises(st.DimensionError, match="horizontal length 4"):
+            st.szego_kernel(1, [1.0, 0, 0], [0.0, 0, 0])
 
     def test_kernel_value_at_zero_central(self):
         for y in ([1.0, 0, 0, 0], [0.3, 0.5, -0.7, 0.2]):
@@ -273,3 +278,51 @@ class TestSzego:
         v0 = st.szego_kernel(1, y, s).value
         v1 = st.szego_kernel(1, lam * y, lam**2 * s).value
         np.testing.assert_allclose(v1, lam**-10 * v0, atol=1e-12)
+
+    def test_pass_matches_loop_oracle(self, rng):
+        for k in (1, 2, 4, 12):
+            y, s = rng.standard_normal(4), 0.5 * rng.standard_normal(3)
+            for level in (20, 56):
+                got, nodes = kernels._szego_pass(k, y, s, level)
+                want, want_nodes = szego_pass_loop(k, y, s, level)
+                assert nodes == want_nodes
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_null_vector_near_pole(self):
+        for k in (150, 511):
+            for gap in (4e-4, 1e-8):
+                x = gap - 1.0
+                side = np.sqrt(1.0 - x * x)
+                d = st.szego_data(k, [x, 0.6 * side, -0.8 * side])
+                assert np.isfinite(d.e1).all()
+                assert abs(np.linalg.norm(d.e1) - 1.0) < 1e-12
+                mat = d.psd_matrix()
+                lam_max = np.abs(np.linalg.eigvalsh(mat)).max()
+                assert np.abs(mat @ d.e1).max() <= 1e-12 * lam_max
+
+    def test_high_level_failure_reports_finite_delta(self):
+        with pytest.raises(st.QuadratureError, match="last delta") as info:
+            st.szego_kernel(150, [1.0, 0, 0, 0], [0.1, 0, 0], max_refine=1)
+        assert np.isfinite(float(str(info.value).rsplit(" ", 1)[-1]))
+
+    def test_value_at_zero_central_every_level(self):
+        for k in (1, 2, 3, 4, 8, 12):
+            for y in ([1.0, 0.2, 0.0, 0.3], [0.3, 0.5, -0.7, 0.2]):
+                want = szego_at_zero_central(k, y)
+                got = st.szego_kernel(k, y, [0.0, 0, 0]).value
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_sphere_rule_per_pass(self, monkeypatch):
+        y, s = [0.5, 0.2, -0.3, 0.1], [0.0, 0, 0]
+        whole = st.szego_kernel(2, y, s, max_refine=1)
+        calls, rule = [], kernels.sphere_rule
+
+        def counted(r, level):
+            calls.append(level)
+            return rule(r, level)
+
+        monkeypatch.setattr(kernels, "sphere_rule", counted)
+        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 3 * 100)
+        chunked = st.szego_kernel(2, y, s, max_refine=1)
+        assert calls == [20, 32]
+        assert np.abs(chunked.value - whole.value).max() <= 1e-14 * np.abs(whole.value).max()
