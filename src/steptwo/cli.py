@@ -419,7 +419,14 @@ def build_parser():
         "part and emit CSV (y = 0 skipped)",
     )
     p.add_argument("--radial", type=_count, default=120)
-    p.add_argument("--sphere-level", type=_count, default=24)
+    p.add_argument(
+        "--sphere-level",
+        type=_count,
+        default=24,
+        help="sphere resolution of the first pass (polar nodes for r = 3, "
+        "angles for r = 2); unused for r = 1 and on H-type groups with "
+        "r = 3, whose sphere integral is taken in closed form",
+    )
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_fundamental)

@@ -6,13 +6,16 @@ spectrum: each eigenvalue magnitude mu_j contributes one 2x2 block, so the
 determinant factor of the fundamental-solution integrand is
 prod_j mu_j/sinh(mu_j) and the quadratic form is
 sum_j mu_j coth(mu_j) |z_j|^2 in the complex frame coordinates.  Dense
-matrix-function evaluation survives only as a test oracle.
+matrix-function evaluation survives only as a test oracle.  On H-type
+groups every mu_j is c |tau|, and for r = 3 the sphere integral of the
+fundamental solution is elementary, so only its radial rule runs.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import eval_chebyu
 
 from .errors import DimensionError, QuadratureError
 from .groups import quaternionic_heisenberg
@@ -114,6 +117,43 @@ def _fs_quadrature(group, y, t, radial, sphere_level):
     return math.gamma(power) / np.pi**n * total, rho.size
 
 
+def _htype_scale(group):
+    """The scale c of an H-type group, or None for any other group.
+
+    H-type means B_a B_b + B_b B_a = -2 c^2 delta_ab I (to 1e-12 of c^2),
+    so B_tau^2 = -c^2 |tau|^2 I and every mu_j(tau) equals c |tau|.
+    """
+    anti = np.einsum("aij,bjk->abik", group.B, group.B)
+    anti = anti + anti.transpose(1, 0, 2, 3)
+    c2 = -np.einsum("aaii->", anti) / (2 * group.r * group.m)
+    want = -2.0 * c2 * np.einsum("ab,ij->abij", np.eye(group.r), np.eye(group.m))
+    if c2 <= 0 or np.abs(anti - want).max() > 1e-12 * c2:
+        return None
+    return math.sqrt(c2)
+
+
+def _fs_htype_pass(group, c, y, t, radial):
+    """One pass of the radial rule alone, on an H-type group with r = 3.
+
+    On the ray rho tau_hat every mu_j is c rho and the plane energies sum
+    to |y|^2, so the integrand is x_over_sinh(c rho)^n (A + i B x)^(-p)
+    with A = x_coth(c rho) |y|^2, B = rho |t|, x = tau_hat.t_hat and
+    p = n + 2.  Its sphere integral 2 pi int_{-1}^{1} dx is
+    4 pi R^(1-p) sin((p-1) phi) / ((p-1) B) with A + iB = R e^(i phi).
+    As B = R sin(phi), that is 4 pi R^(-p) U_{p-2}(cos phi) / (p-1), U the
+    Chebyshev polynomial of the second kind: no cancellation as t -> 0,
+    and at B = 0 it is the limit 4 pi A^(-p) without a special case.
+    """
+    n = group.n
+    power = n + 2
+    rho, rw = radial_nodes(radial, n * c)
+    A = x_coth(c * rho) * (y @ y)
+    R = np.hypot(A, rho * np.linalg.norm(t))
+    sphere = 4.0 * np.pi / (power - 1) * eval_chebyu(power - 2, A / R) * R**-power
+    total = np.einsum("i,i,i->", rw, rho**2 * x_over_sinh(c * rho) ** n, sphere)
+    return math.gamma(power) / np.pi**n * complex(total), radial
+
+
 def fundamental_solution(
     group,
     y,
@@ -126,10 +166,13 @@ def fundamental_solution(
     """Fundamental solution of the sub-Laplacian at the point (y, t).
 
     Gamma(n+r-1)/pi^n times the frequency integral of ``fs_integrand``,
-    factorized over rays: the sphere is handled by a fixed product rule
-    (two signed points for r = 1) and each ray by Gauss-Legendre nodes
-    under a decay-adapted logarithmic compactification.  Node counts are
-    doubled until two refinements agree to ``tol`` relatively; the last
+    factorized over rays.  Each ray is handled by Gauss-Legendre nodes
+    under a decay-adapted logarithmic compactification.  On an H-type
+    group with r = 3 (B_a B_b + B_b B_a = -2 c^2 delta_ab I) the sphere
+    integral is taken in closed form, so only the radial rule runs and
+    ``sphere_level`` is unused; every other group takes a fixed product
+    sphere rule (two signed points for r = 1).  Node counts are doubled
+    until two refinements agree to ``tol`` relatively; the last
     difference is reported as ``est_error``.
 
     Parameters
@@ -144,12 +187,14 @@ def fundamental_solution(
             "fundamental_solution requires y != 0 (the y = 0 slice needs "
             "analytic continuation, which is out of scope)"
         )
-    return _refine(
-        lambda lv: _fs_quadrature(
+    c = _htype_scale(group) if group.r == 3 else None
+    if c is None:
+        run_pass = lambda lv: _fs_quadrature(
             group, y, t, radial * 2**lv, sphere_level + 8 * lv
-        ),
-        max_refine, tol, "fundamental solution",
-    )
+        )
+    else:
+        run_pass = lambda lv: _fs_htype_pass(group, c, y, t, radial * 2**lv)
+    return _refine(run_pass, max_refine, tol, "fundamental solution")
 
 
 # ---------------------------------------------------------------------------

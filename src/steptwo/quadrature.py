@@ -8,14 +8,28 @@ rho = (2/s) log((1+u)/(1-u)), with the scale s matched to the integrand's
 exponential decay rate, then handled by Gauss-Legendre nodes on (0, 1).
 """
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError
 
 
+@functools.lru_cache(maxsize=32)
+def _leggauss(count):
+    """Gauss-Legendre nodes and weights on (-1, 1), read-only and cached:
+    numpy's ``leggauss`` solves an eigenproblem on every call, which costs
+    more than a whole radial pass, and the refinement passes of every
+    kernel call ask for the same few counts."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(count, lo=0.0, hi=1.0):
     """Gauss-Legendre nodes and weights mapped to the interval (lo, hi)."""
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _leggauss(count)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

@@ -275,6 +275,21 @@ def abel_fundamental_solution(
     return _refine(run_pass, max_refine, tol, "Abel family").value
 
 
+def kaplan_fundamental(group, y, t):
+    """Kaplan's closed form of the fundamental solution on an H-type group
+    of scale 1 (B_tau^2 = -|tau|^2 I), in this library's normalization:
+    c(n, r) (|y|^4 + |t|^2)^(-(n+r-1)/2) with
+    c(n, r) = |S^(r-1)| Gamma(n+r-1) B(r/2, n/2) / (2 pi^n), so that
+    c(1, 1) = 1 and c(2, 3) = 8/pi."""
+    n, r = group.n, group.r
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    sphere = 2.0 * np.pi ** (r / 2) / math.gamma(r / 2)
+    beta = math.gamma(r / 2) * math.gamma(n / 2) / math.gamma((n + r) / 2)
+    c = sphere * math.gamma(n + r - 1) * beta / (2.0 * np.pi**n)
+    return c * (float(y @ y) ** 2 + float(t @ t)) ** (-(n + r - 1) / 2)
+
+
 def fd_directional(fn, pts, direction, h):
     """Fourth-order central difference of fn along a fixed direction."""
     d = np.asarray(direction, dtype=float)

@@ -11,7 +11,8 @@ from hypothesis import strategies as hs
 
 import steptwo as st
 from steptwo.cli import run
-from steptwo.fields import SampledField, symmetric_axis
+from steptwo.fields import SampledField, lattice_points, symmetric_axis
+from conftest import kaplan_fundamental
 
 
 def run_cli(argv, capsys):
@@ -112,6 +113,39 @@ def test_fundamental_point(capsys):
     )
     assert code == 0
     assert json.loads(out)["point"] == [-0.5, 0.2, 0.1]
+
+
+def test_fundamental_quaternionic_near_axis(quat, capsys):
+    # |y|^2/|t| = 0.1, where the sphere product rule does not converge
+    y, t = np.array([0.3, 0.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    point = ",".join(repr(float(v)) for v in np.r_[y, t])
+    code, out, _ = run_cli(
+        ["fundamental", "--group=preset:quaternionic-heisenberg", f"--point={point}"],
+        capsys,
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["value_re"] == pytest.approx(kaplan_fundamental(quat, y, t), rel=1e-10)
+    assert data["value_im"] == 0.0
+
+
+def test_fundamental_quaternionic_grid_matches_library(quat, capsys):
+    t = [3.0, -4.0, 2.0]
+    code, out, _ = run_cli(
+        ["fundamental", "--group=preset:quaternionic-heisenberg",
+         "--point=0,0,0,0,3,-4,2", "--grid=2,3"],
+        capsys,
+    )
+    assert code == 0
+    axis = symmetric_axis(2.0, 3)
+    rows = ["y0,y1,y2,y3,t0,t1,t2,value_re,value_im,est_error"]
+    for y in lattice_points([axis.points()] * 4):
+        if not np.any(y):
+            continue
+        res = st.fundamental_solution(quat, y, t)
+        vals = list(y) + t + [res.value.real, res.value.imag, res.est_error]
+        rows.append(",".join(repr(float(v)) for v in vals))
+    assert out == "\n".join(rows) + "\n"
 
 
 def test_fundamental_bad_point(capsys):

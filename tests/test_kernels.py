@@ -10,10 +10,21 @@ from steptwo.tensors import _offset
 from conftest import (
     abel_fundamental_solution,
     dense_fs_integrand,
+    kaplan_fundamental,
     random_skew_group,
     szego_at_zero_central,
     szego_pass_loop,
 )
+
+
+def gauge_point(rng, ratio):
+    """Seeded (y, t) on the quaternionic gauge sphere |y|^4 + |t|^2 = 1 with
+    |y|^2 / |t| = ratio."""
+    theta = np.arctan2(1.0, ratio)
+    y, t = rng.standard_normal(4), rng.standard_normal(3)
+    y *= np.sqrt(np.cos(theta)) / np.linalg.norm(y)
+    t *= np.sin(theta) / np.linalg.norm(t)
+    return y, t
 
 
 class TestSubLaplacianSymbol:
@@ -138,6 +149,72 @@ class TestFundamentalSolution:
             lim = st.fundamental_solution(g, y, t).value
             reg = abel_fundamental_solution(g, y, t, 1 - 1e-6)
             assert abs(lim - reg) / abs(lim) < 1e-4
+
+
+class TestHTypeFundamentalSolution:
+    def test_scale_detection(self, quat, rng):
+        assert kernels._htype_scale(quat) == pytest.approx(1.0, rel=1e-15)
+        scaled = st.make_group(2, 3, 1.7 * quat.B)
+        assert kernels._htype_scale(scaled) == pytest.approx(1.7, rel=1e-15)
+        assert kernels._htype_scale(st.heisenberg(2)) == pytest.approx(1.0, rel=1e-15)
+        assert kernels._htype_scale(random_skew_group(rng, n=2, r=3)) is None
+
+    def test_matches_kaplan_near_axis(self, quat, rng):
+        for ratio in (0.2, 0.05, 0.01):
+            y, t = gauge_point(rng, ratio)
+            got = st.fundamental_solution(quat, y, t).value
+            want = kaplan_fundamental(quat, y, t)
+            assert abs(got - want) <= 1e-10 * want
+
+    def test_matches_kaplan_at_and_next_to_zero_central(self, quat):
+        y = np.array([0.3, -0.2, 0.5, 0.1])
+        for t in (
+            [0.0, 0.0, 0.0],
+            [1e-200, 0.0, 0.0],
+            [0.0, -6e-201, 8e-201],
+            [0.0, 1e-320, 0.0],  # subnormal
+        ):
+            got = st.fundamental_solution(quat, y, t).value
+            want = kaplan_fundamental(quat, y, t)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_equals_product_rule_oracle(self, quat):
+        rng = np.random.default_rng(1313)
+        for _ in range(20):
+            y, t = gauge_point(rng, rng.uniform(0.5, 4.0))
+            lam = rng.uniform(0.5, 2.0)
+            y, t = lam * y, lam**2 * t
+            got = st.fundamental_solution(quat, y, t).value
+            want = abel_fundamental_solution(quat, y, t, R=1.0)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_scaling_identity(self, quat, rng):
+        c = 1.7
+        scaled = st.make_group(2, 3, c * quat.B)
+        for ratio in (2.0, 0.3):
+            y, t = gauge_point(rng, ratio)
+            got = st.fundamental_solution(scaled, y, t).value
+            want = c**-3 * st.fundamental_solution(quat, y, t / c).value
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_only_non_htype_groups_take_the_product_rule(self, quat, monkeypatch):
+        rng = np.random.default_rng(2718)
+        E = rng.standard_normal(quat.B.shape)
+        perturbed = st.make_group(
+            2, 3, quat.B + 1e-3 * (E - np.transpose(E, (0, 2, 1)))
+        )
+        calls, rule = [], kernels.sphere_rule
+
+        def counted(r, level):
+            calls.append(level)
+            return rule(r, level)
+
+        monkeypatch.setattr(kernels, "sphere_rule", counted)
+        y, t = [0.6, -0.3, 0.2, 0.5], [0.1, 0.0, -0.2]
+        for group, passes in ((quat, []), (perturbed, [24, 32])):
+            calls.clear()
+            st.fundamental_solution(group, y, t, max_refine=1)
+            assert calls == passes
 
 
 def test_sublaplacian_frame_independence(quat, rng):

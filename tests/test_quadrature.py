@@ -3,6 +3,7 @@ import pytest
 
 import steptwo as st
 from steptwo.quadrature import (
+    _leggauss,
     gauss_legendre,
     radial_nodes,
     sphere_rule,
@@ -15,6 +16,17 @@ def test_gauss_legendre_interval():
     x, w = gauss_legendre(20, 0.0, 3.0)
     assert w.sum() == pytest.approx(3.0)
     assert (x @ w) == pytest.approx(4.5)  # integral of x over [0, 3]
+
+
+def test_gauss_legendre_reuses_the_same_nodes():
+    first = gauss_legendre(37, -1.0, 2.0)
+    again = gauss_legendre(37, -1.0, 2.0)
+    x, w = np.polynomial.legendre.leggauss(37)
+    want = (-1.0 + 1.5 * (x + 1.0), 1.5 * w)
+    for got in (first, again):
+        assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
+        assert all(g.flags.writeable for g in got)
+    assert not any(a.flags.writeable for a in _leggauss(37))
 
 
 @pytest.mark.parametrize("r,measure", [(1, 2.0), (2, 2 * np.pi), (3, 4 * np.pi)])
