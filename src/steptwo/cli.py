@@ -162,6 +162,8 @@ def cmd_laguerre_field(args):
 
 
 def cmd_convolve(args):
+    if not args.csv and not args.out:
+        raise SteptwoError("convolve needs --out and/or --csv")
     g = _load_group(args.group)
     a = fields.SampledField.load(args.a)
     b = fields.SampledField.load(args.b)
@@ -174,9 +176,7 @@ def cmd_convolve(args):
                 tensors.laguerre_coefficients(a, fr, args.K),
                 tensors.laguerre_coefficients(b, fr, args.K),
             )
-            out = a.with_values(
-                tensors.synthesize(T, a.mesh())
-            )
+            out = a.with_values(tensors.synthesize(T, a.mesh()))
         else:
             raise SteptwoError(
                 "twisted convolution supports --path direct or tensor"
@@ -195,8 +195,6 @@ def cmd_convolve(args):
         out.to_csv(args.csv)
     if args.out:
         out.save(args.out)
-    if not args.csv and not args.out:
-        raise SteptwoError("convolve needs --out and/or --csv")
     return 0
 
 
@@ -251,35 +249,21 @@ def cmd_fundamental(args):
             f"(2n={g.m} horizontal then r={g.r} central), got {coords.size}"
         )
     y, t = coords[: g.m], coords[g.m :]
-    quad = dict(radial=args.radial, sphere_level=args.sphere_level, tol=args.tol)
     if args.grid:
         # horizontal grid sweep at the fixed central part; the singular
         # y = 0 lattice point (where the kernel needs analytic
         # continuation) is skipped
-        axes = (args.grid,) * g.m
-        rows = []
-        for yy in fields.lattice_points([a.points() for a in axes]):
+        names = [f"y{i}" for i in range(g.m)] + [f"t{i}" for i in range(g.r)]
+        lines = [",".join(names + ["value_re", "value_im", "est_error"])]
+        for yy in fields.lattice_points([args.grid.points()] * g.m):
             if np.linalg.norm(yy) < 1e-12:
                 continue
-            res = kernels.fundamental_solution(g, yy, t, **quad)
-            rows.append(
-                list(yy)
-                + list(t)
-                + [res.value.real, res.value.imag, res.est_error]
-            )
-        header = ",".join(
-            [f"y{i}" for i in range(g.m)]
-            + [f"t{i}" for i in range(g.r)]
-            + ["value_re", "value_im", "est_error"]
-        )
-        _write(
-            args,
-            "\n".join(
-                [header] + [",".join(repr(float(v)) for v in r) for r in rows]
-            ),
-        )
+            res = kernels.fundamental_solution(g, yy, t, args.tol)
+            row = [*yy, *t, res.value.real, res.value.imag, res.est_error]
+            lines.append(",".join(repr(float(v)) for v in row))
+        _write(args, "\n".join(lines))
         return 0
-    res = kernels.fundamental_solution(g, y, t, **quad)
+    res = kernels.fundamental_solution(g, y, t, args.tol)
     _emit(
         args,
         {
@@ -418,16 +402,8 @@ def build_parser():
         help="radius,count: sweep the horizontal plane at the fixed central "
         "part and emit CSV (y = 0 skipped)",
     )
-    p.add_argument("--radial", type=_count, default=120)
-    p.add_argument(
-        "--sphere-level",
-        type=_count,
-        default=24,
-        help="sphere resolution of the first pass (polar nodes for r = 3, "
-        "angles for r = 2); unused for r = 1 and on H-type groups with "
-        "r = 3, whose sphere integral is taken in closed form",
-    )
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="relative agreement of two successive refinement passes")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_fundamental)
 

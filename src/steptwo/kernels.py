@@ -17,12 +17,40 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import eval_chebyu
 
-from .errors import DimensionError, QuadratureError
+from .errors import DegenerateTauError, DimensionError, QuadratureError
 from .groups import quaternionic_heisenberg
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
 from .spectral import (
     _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum, _plane_energies,
 )
+
+# Refinement schedules.  Each kernel runs a first pass and at most
+# _REFINEMENTS finer ones, until two consecutive passes agree.  Pass i of
+# the fundamental solution takes _FS_RADIAL 2^i radial nodes and sphere
+# level _FS_SPHERE_LEVEL + 8 i.  The numerator of the Szego projection has
+# degree 2k in tau_hat, so its pass i takes sphere level max(20, 4k) + 12 i:
+# 2 level^2 nodes that cost (k+1)^2 each.  A k whose whole schedule costs
+# more than the budget is refused; the largest served, k = 58, runs all
+# four passes in about 15 s on two cores.
+_REFINEMENTS = 3
+_FS_RADIAL = 120
+_FS_SPHERE_LEVEL = 24
+_SZEGO_TOL = 1e-10
+_SZEGO_WORK_BUDGET = 18 * 10**8
+
+
+def _fs_resolution(step):
+    return _FS_RADIAL * 2**step, _FS_SPHERE_LEVEL + 8 * step
+
+
+def _szego_level(k, step):
+    return max(20, 4 * k) + 12 * step
+
+
+def _szego_work(k):
+    levels = (_szego_level(k, i) for i in range(_REFINEMENTS + 1))
+    return sum(2 * lv**2 for lv in levels) * (k + 1) ** 2
+
 
 # ---------------------------------------------------------------------------
 # fundamental-solution integrand and integral
@@ -66,20 +94,15 @@ class QuadResult:
     est_error: float
     nodes_used: int
 
-    def __complex__(self):
-        return complex(self.value)
 
-
-def _refine(run_pass, max_refine, tol, what):
+def _refine(run_pass, tol, what):
     """Refine until two consecutive passes agree to ``tol`` relatively.
 
-    ``run_pass(level)`` returns (value, nodes) for levels 0..max_refine;
+    ``run_pass(level)`` returns (value, nodes) for levels 0.._REFINEMENTS;
     the max-norm delta of the last two passes is reported as ``est_error``.
     """
-    if max_refine < 1:
-        raise DimensionError(f"max_refine must be at least 1, got {max_refine}")
     prev, _ = run_pass(0)
-    for level in range(1, max_refine + 1):
+    for level in range(1, _REFINEMENTS + 1):
         cur, nodes = run_pass(level)
         err = float(np.abs(cur - prev).max())
         prev = cur
@@ -132,6 +155,17 @@ def _htype_scale(group):
     return math.sqrt(c2)
 
 
+def _check_independent(group):
+    """Raise where B_tau = 0 at a unit tau: the smallest singular direction
+    of the r x (2n)^2 matrix of flattened B (every n = 1, r >= 2 group)."""
+    U, sv, _ = np.linalg.svd(group.B.reshape(group.r, -1))
+    if sv.size < group.r or sv[-1] <= DEGENERACY_RTOL * sv[0]:
+        raise DegenerateTauError(
+            "the structure matrices are linearly dependent: B_tau = 0 at "
+            f"the unit tau = {U[:, -1].tolist()}"
+        )
+
+
 def _fs_htype_pass(group, c, y, t, radial):
     """One pass of the radial rule alone, on an H-type group with r = 3.
 
@@ -154,32 +188,18 @@ def _fs_htype_pass(group, c, y, t, radial):
     return math.gamma(power) / np.pi**n * complex(total), radial
 
 
-def fundamental_solution(
-    group,
-    y,
-    t,
-    radial=120,
-    sphere_level=24,
-    tol=1e-9,
-    max_refine=3,
-):
-    """Fundamental solution of the sub-Laplacian at the point (y, t).
+def fundamental_solution(group, y, t, tol=1e-9):
+    """Fundamental solution of the sub-Laplacian at the point (y, t), y != 0.
 
     Gamma(n+r-1)/pi^n times the frequency integral of ``fs_integrand``,
     factorized over rays.  Each ray is handled by Gauss-Legendre nodes
     under a decay-adapted logarithmic compactification.  On an H-type
     group with r = 3 (B_a B_b + B_b B_a = -2 c^2 delta_ab I) the sphere
-    integral is taken in closed form, so only the radial rule runs and
-    ``sphere_level`` is unused; every other group takes a fixed product
-    sphere rule (two signed points for r = 1).  Node counts are doubled
-    until two refinements agree to ``tol`` relatively; the last
-    difference is reported as ``est_error``.
-
-    Parameters
-    ----------
-    group : StepTwoGroup
-    y, t : array-like
-        Horizontal (nonzero) and central coordinates of the point.
+    integral is taken in closed form, so only the radial rule runs; every
+    other group takes a product sphere rule (two signed points for r = 1).
+    Passes follow ``_fs_resolution`` until two agree to ``tol``
+    relatively; the last difference is reported as ``est_error``.  Groups
+    with linearly dependent structure matrices raise DegenerateTauError.
     """
     y, t = group.point(y, t)
     if not np.any(y):
@@ -187,14 +207,13 @@ def fundamental_solution(
             "fundamental_solution requires y != 0 (the y = 0 slice needs "
             "analytic continuation, which is out of scope)"
         )
+    _check_independent(group)
     c = _htype_scale(group) if group.r == 3 else None
     if c is None:
-        run_pass = lambda lv: _fs_quadrature(
-            group, y, t, radial * 2**lv, sphere_level + 8 * lv
-        )
+        run_pass = lambda lv: _fs_quadrature(group, y, t, *_fs_resolution(lv))
     else:
-        run_pass = lambda lv: _fs_htype_pass(group, c, y, t, radial * 2**lv)
-    return _refine(run_pass, max_refine, tol, "fundamental solution")
+        run_pass = lambda lv: _fs_htype_pass(group, c, y, t, _fs_resolution(lv)[0])
+    return _refine(run_pass, tol, "fundamental solution")
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +237,18 @@ def _sublaplacian_by_differences(group, fn, y, t, h):
     return -0.25 * acc
 
 
-def horizontal_laplacian_residual(group, points, h=1e-2, **quad):
+def horizontal_laplacian_residual(group, points, h=1e-2, tol=1e-9):
     """Apply the sub-Laplacian to the fundamental solution by differences.
 
     For each point, ``_sublaplacian_by_differences`` of the fundamental
-    solution; y must stay away from the origin by a safe multiple of the
-    step.  Returns the max |residual| and the per-point values.
+    solution to ``tol``; y must stay away from the origin by a safe
+    multiple of the step.  Returns the max |residual| and the per-point values.
     """
+    if len(points) == 0:
+        raise DimensionError("the probe list is empty: pass at least one point")
 
     def psi(yy, tt):
-        return complex(fundamental_solution(group, yy, tt, **quad).value)
+        return complex(fundamental_solution(group, yy, tt, tol).value)
 
     residuals = []
     for p in points:
@@ -291,16 +312,13 @@ def null_vector(k, tau_hat):
     return e
 
 
-# an input bound, not a numerical one: the kernel is a (k+1)^2 matrix and
-# one quadrature pass costs nodes * (k+1)^2
+# input bound of szego_data; szego_kernel serves less (_SZEGO_WORK_BUDGET)
 MAX_LEVEL = 511
 
 
 def _check_level(k):
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_LEVEL:
-        raise DimensionError(
-            f"the level k must be an integer in 1..{MAX_LEVEL}, got {k}"
-        )
+        raise DimensionError(f"level k must be an integer in 1..{MAX_LEVEL}, got {k}")
 
 
 def szego_data(k, tau):
@@ -343,21 +361,26 @@ def _szego_pass(k, y, s, level):
     return SZEGO_CONSTANT * acc, wts.size
 
 
-def szego_kernel(k, y, s, level=20, tol=1e-10, max_refine=3):
+def szego_kernel(k, y, s):
     """Matrix-valued Szego kernel at (y, s), y != 0, by sphere quadrature.
 
     The integrand is the rank-one projection onto the null vector over the
     unit sphere of frequencies, against the principal-branch complex power
-    of |y|^2 - i tau.s (positive real part for y != 0).
+    of |y|^2 - i tau.s (positive real part for y != 0), on the sphere
+    rules of ``_szego_level``.
     """
     _check_level(k)
+    if _szego_work(k) > _SZEGO_WORK_BUDGET:
+        served = max(j for j in range(1, k) if _szego_work(j) <= _SZEGO_WORK_BUDGET)
+        raise DimensionError(
+            f"the level k = {k} exceeds the Szego kernel's work budget; "
+            f"the largest level served is k = {served}"
+        )
     y, s = quaternionic_heisenberg().point(y, s)
     if not np.any(y):
         raise DimensionError(
             "szego_kernel requires y != 0 (the changed-contour evaluation is "
             "out of scope)"
         )
-    return _refine(
-        lambda step: _szego_pass(k, y, s, level + 12 * step),
-        max_refine, tol, "Szego kernel",
-    )
+    run_pass = lambda step: _szego_pass(k, y, s, _szego_level(k, step))
+    return _refine(run_pass, _SZEGO_TOL, "Szego kernel")

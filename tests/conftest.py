@@ -14,7 +14,7 @@ from steptwo.fields import (
     dual_axis_points,
     lattice_points,
 )
-from steptwo.kernels import SZEGO_CONSTANT, _refine
+from steptwo.kernels import SZEGO_CONSTANT, _fs_resolution, _refine
 from steptwo.quadrature import radial_nodes, sphere_rule
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
 from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
@@ -242,25 +242,25 @@ def abel_partial_sum(f, group, R, terms):
     )
 
 
-def abel_fundamental_solution(
-    group, y, t, R, radial=120, sphere_level=24, tol=1e-9, max_refine=3
-):
+def abel_fundamental_solution(group, y, t, R, tol=1e-9):
     """Abel-regularized fundamental-solution family at (y, t) (slow oracle).
 
     The frequency integral of ``fundamental_solution`` with the hyperbolic
     factors of x = rho mu_j replaced by their R-damped Laguerre series,
     2x e^-x / (1 - R e^-2x) and x (1 + R e^-2x) / (1 - R e^-2x); R -> 1
-    gives back x/sinh(x) and x coth(x).  Same quadrature and refinement.
+    gives back x/sinh(x) and x coth(x).  Same product quadrature and the
+    same refinement schedule (``kernels._fs_resolution``), on every group.
     """
     y, t = group.point(y, t)
     n, r = group.n, group.r
     power = n + r - 1
 
     def run_pass(level):
-        pts, wts = sphere_rule(r, sphere_level + 8 * level)
+        radial, sphere_level = _fs_resolution(level)
+        pts, wts = sphere_rule(r, sphere_level)
         _, mu, V, _, _ = _checked_spectrum(group, pts, DEGENERACY_RTOL)
         a = _plane_energies(V, y)
-        rho, rw = radial_nodes(radial * 2**level, np.sum(mu, axis=1))
+        rho, rw = radial_nodes(radial, np.sum(mu, axis=1))
         arg = rho[:, :, None] * mu[:, None, :]
         e = np.exp(-arg)
         det_factor = np.prod(2.0 * arg * e / (1.0 - R * e * e), axis=2)
@@ -272,7 +272,7 @@ def abel_fundamental_solution(
         total = np.einsum("s,si,si->", wts, rw, vals)
         return math.gamma(power) / np.pi**n * total, rho.size
 
-    return _refine(run_pass, max_refine, tol, "Abel family").value
+    return _refine(run_pass, tol, "Abel family").value
 
 
 def kaplan_fundamental(group, y, t):

@@ -227,6 +227,40 @@ def test_convolve_twisted_paths(tmp_path, capsys):
     assert code == 1 and "direct or tensor" in err
 
 
+def test_convolve_needs_an_output_before_it_loads(tmp_path, capsys):
+    # the inputs do not exist: the missing output is reported, not the inputs
+    missing = str(tmp_path / "missing.field")
+    code, out, err = run_cli(
+        ["convolve", "--a", missing, "--b", missing, "--group",
+         "preset:heisenberg-1", "--tau", "1"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert "needs --out and/or --csv" in err and "cannot open" not in err
+
+
+def test_convolve_csv_has_one_row_per_grid_point(tmp_path, capsys):
+    ax = symmetric_axis(4.0, 12)
+    f = SampledField.from_function((ax, ax), lambda p: np.exp(-np.sum(p**2, -1)) + 0j)
+    fa = tmp_path / "a.field"
+    f.save(fa)
+    csv_path, field_path = tmp_path / "c.csv", tmp_path / "c.field"
+    code, _, _ = run_cli(
+        ["convolve", "--a", str(fa), "--b", str(fa), "--group",
+         "preset:heisenberg-1", "--tau", "1", "--csv", str(csv_path),
+         "--out", str(field_path)],
+        capsys,
+    )
+    assert code == 0
+    rows = csv_path.read_text().strip().splitlines()
+    assert rows[0] == "x0,x1,re,im"
+    data = np.loadtxt(rows[1:], delimiter=",")
+    assert data.shape == (12 * 12, 4)
+    np.testing.assert_array_equal(data[:, :2], lattice_points([ax.points()] * 2))
+    values = SampledField.load(field_path).values.reshape(-1)
+    np.testing.assert_allclose(data[:, 2] + 1j * data[:, 3], values, rtol=1e-15)
+
+
 def test_convolve_rejects_fields_of_the_wrong_dimension(tmp_path, capsys):
     ax = symmetric_axis(4.0, 12)
     f = SampledField.from_function((ax, ax), lambda p: np.exp(-np.sum(p**2, -1)) + 0j)
@@ -320,7 +354,8 @@ def test_usage_error_exit_code(monkeypatch):
     )
     assert proc.returncode == 2
     # an unknown option stays a usage error, also with a negative value
-    for extra in (["--bogus"], ["--bogus", "-1"]):
+    for extra in (["--bogus"], ["--bogus", "-1"], ["--radial", "40"],
+                  ["--sphere-level", "24"]):
         with pytest.raises(SystemExit) as exc:
             run(["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,0", *extra])
         assert exc.value.code == 2
@@ -350,7 +385,7 @@ def test_usage_error_exit_code(monkeypatch):
         (["spectral", "scan", "--group", "preset:heisenberg-1", "--samples", "-3"],
          "--samples"),
         (["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,1",
-          "--radial", "0"], "--radial"),
+          "--radial", "40"], "--radial"),
         (["laguerre", "eval", "--k", "1", "--p", "0", "--sigma", "nan"], "--sigma"),
         (["spectral", "scan", "--group", "preset:heisenberg-1", "--seed", "-3"],
          "--seed"),
@@ -476,7 +511,7 @@ def _fuzzed_argv(draw):
                 "--samples", samples]
     if command == "fundamental":
         argv = ["fundamental", "--group", "preset:heisenberg-1",
-                "--point", draw(_vector_text(3)), "--radial", "40"]
+                "--point", draw(_vector_text(3))]
         if draw(hs.booleans()):
             # a few lattice points at most: each is one kernel quadrature
             radius = draw(hs.one_of(hs.floats(-1.0, 3.0), hs.just(float("nan"))))

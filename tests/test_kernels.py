@@ -1,10 +1,13 @@
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import steptwo as st
 import steptwo.kernels as kernels
+from steptwo.cli import run
 from steptwo.kernels import SZEGO_CONSTANT, _sublaplacian_by_differences
 from steptwo.tensors import _offset
 from conftest import (
@@ -134,11 +137,10 @@ class TestFundamentalSolution:
         with pytest.raises(st.DimensionError, match="y != 0"):
             st.fundamental_solution(h1, [0.0, 0.0], [1.0])
 
-    def test_refinement_reports_error(self, quat):
+    def test_refinement_reports_error(self, quat, monkeypatch):
         res = st.fundamental_solution(quat, [1.0, 0, 0, 0], [0.3, 0.1, -0.2])
-        res2 = st.fundamental_solution(
-            quat, [1.0, 0, 0, 0], [0.3, 0.1, -0.2], radial=2 * 120
-        )
+        monkeypatch.setattr(kernels, "_FS_RADIAL", 2 * kernels._FS_RADIAL)
+        res2 = st.fundamental_solution(quat, [1.0, 0, 0, 0], [0.3, 0.1, -0.2])
         assert abs(res.value - res2.value) <= max(res.est_error, 1e-12) * 10
 
     def test_abel_family_converges_to_limit(self, h1, quat):
@@ -149,6 +151,21 @@ class TestFundamentalSolution:
             lim = st.fundamental_solution(g, y, t).value
             reg = abel_fundamental_solution(g, y, t, 1 - 1e-6)
             assert abs(lim - reg) / abs(lim) < 1e-4
+
+    def test_dependent_structure_matrices_rejected(self, capsys, tmp_path):
+        # n = 1, r = 2: the skew 2x2 matrices span one dimension, so
+        # B_tau = 0 at one unit tau (singular values 4.9 and 2.5e-16)
+        group = random_skew_group(np.random.default_rng(3), n=1, r=2)
+        with pytest.raises(st.DegenerateTauError, match="linearly dependent") as info:
+            st.fundamental_solution(group, [0.7, -0.3], [0.4, 0.1])
+        tau = np.array(json.loads(str(info.value).split("unit tau = ")[1]))
+        assert abs(np.linalg.norm(tau) - 1.0) < 1e-12
+        assert np.abs(group.b_tau(tau)).max() < 1e-14 * np.abs(group.B).max()
+        path = tmp_path / "g.json"
+        path.write_text(group.to_json())
+        code = run(["fundamental", f"--group={path}", "--point=0.7,-0.3,0.4,0.1"])
+        assert code == 1
+        assert "linearly dependent" in capsys.readouterr().err
 
 
 class TestHTypeFundamentalSolution:
@@ -211,9 +228,10 @@ class TestHTypeFundamentalSolution:
 
         monkeypatch.setattr(kernels, "sphere_rule", counted)
         y, t = [0.6, -0.3, 0.2, 0.5], [0.1, 0.0, -0.2]
+        monkeypatch.setattr(kernels, "_REFINEMENTS", 1)
         for group, passes in ((quat, []), (perturbed, [24, 32])):
             calls.clear()
-            st.fundamental_solution(group, y, t, max_refine=1)
+            st.fundamental_solution(group, y, t)
             assert calls == passes
 
 
@@ -280,6 +298,10 @@ class TestHarmonicity:
                 h1, [h1.point([0.05, 0.0], [0.5])], h=1e-2
             )
 
+    def test_empty_probe_list_rejected(self, h1):
+        with pytest.raises(st.DimensionError, match="probe list is empty"):
+            st.horizontal_laplacian_residual(h1, [])
+
 
 class TestSzego:
     def test_constant_identity(self):
@@ -330,8 +352,6 @@ class TestSzego:
         np.testing.assert_array_equal(
             numpy_level.value, st.szego_kernel(1, [1.0, 0, 0, 0], [0.0, 0, 0]).value
         )
-        with pytest.raises(st.DimensionError, match="max_refine"):
-            st.szego_kernel(1, [1.0, 0, 0, 0], [0.0, 0, 0], max_refine=0)
         for y, s in (([np.nan, 0, 0, 0], [0.0, 0, 0]), ([1.0, 0, 0, 0], [0, np.inf, 0])):
             with pytest.raises(st.DimensionError, match="finite"):
                 st.szego_kernel(1, y, s)
@@ -377,13 +397,27 @@ class TestSzego:
                 lam_max = np.abs(np.linalg.eigvalsh(mat)).max()
                 assert np.abs(mat @ d.e1).max() <= 1e-12 * lam_max
 
-    def test_high_level_failure_reports_finite_delta(self):
+    def test_failure_reports_finite_delta(self):
+        # near the central axis, |y|^2/|s| = 0.09 < 0.41 (ROADMAP defect 1)
         with pytest.raises(st.QuadratureError, match="last delta") as info:
-            st.szego_kernel(150, [1.0, 0, 0, 0], [0.1, 0, 0], max_refine=1)
+            st.szego_kernel(1, [0.3, 0, 0, 0], [1.0, 0, 0])
         assert np.isfinite(float(str(info.value).rsplit(" ", 1)[-1]))
 
+    def test_levels_above_the_work_budget_refused(self, capsys):
+        budget, work = kernels._SZEGO_WORK_BUDGET, kernels._szego_work
+        served = max(k for k in range(1, 200) if work(k) <= budget)
+        assert served == 58  # the bound README and ROADMAP give
+        for k in (served + 1, 150, kernels.MAX_LEVEL):
+            start = time.perf_counter()
+            with pytest.raises(st.DimensionError, match=f"k = {k} exceeds") as info:
+                st.szego_kernel(k, [1.0, 0, 0, 0], [0.1, 0, 0])
+            assert f"largest level served is k = {served}" in str(info.value)
+            assert run(["szego", f"--k={k}", "--y=1,0,0,0", "--s=0.1,0,0"]) == 1
+            assert f"largest level served is k = {served}" in capsys.readouterr().err
+            assert time.perf_counter() - start < 1.0
+
     def test_value_at_zero_central_every_level(self):
-        for k in (1, 2, 3, 4, 8, 12):
+        for k in (1, 2, 3, 4, 8, 12, 13, 14, 16, 32):
             for y in ([1.0, 0.2, 0.0, 0.3], [0.3, 0.5, -0.7, 0.2]):
                 want = szego_at_zero_central(k, y)
                 got = st.szego_kernel(k, y, [0.0, 0, 0]).value
@@ -391,7 +425,8 @@ class TestSzego:
 
     def test_one_sphere_rule_per_pass(self, monkeypatch):
         y, s = [0.5, 0.2, -0.3, 0.1], [0.0, 0, 0]
-        whole = st.szego_kernel(2, y, s, max_refine=1)
+        monkeypatch.setattr(kernels, "_REFINEMENTS", 1)
+        whole = st.szego_kernel(2, y, s)
         calls, rule = [], kernels.sphere_rule
 
         def counted(r, level):
@@ -400,6 +435,19 @@ class TestSzego:
 
         monkeypatch.setattr(kernels, "sphere_rule", counted)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 3 * 100)
-        chunked = st.szego_kernel(2, y, s, max_refine=1)
+        chunked = st.szego_kernel(2, y, s)
         assert calls == [20, 32]
         assert np.abs(chunked.value - whole.value).max() <= 1e-14 * np.abs(whole.value).max()
+
+    def test_first_level_follows_k(self, monkeypatch):
+        calls, rule = [], kernels.sphere_rule
+
+        def counted(r, level):
+            calls.append(level)
+            return rule(r, level)
+
+        monkeypatch.setattr(kernels, "sphere_rule", counted)
+        for k, first in ((1, 20), (5, 20), (6, 24), (9, 36)):
+            calls.clear()
+            st.szego_kernel(k, [1.0, 0.2, 0.0, 0.3], [0.0, 0, 0])
+            assert calls == [first + 12 * i for i in range(len(calls))]
