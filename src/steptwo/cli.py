@@ -176,7 +176,8 @@ def cmd_convolve(args):
                 tensors.laguerre_coefficients(a, fr, args.K),
                 tensors.laguerre_coefficients(b, fr, args.K),
             )
-            out = a.with_values(tensors.synthesize(T, a.mesh()))
+            values = tensors.synthesize(T, a.mesh())
+            out = fields.SampledField(a.axes, values, group=g, tau=args.tau)
         else:
             raise SteptwoError(
                 "twisted convolution supports --path direct or tensor"

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GridError
+from .groups import checked_int, group_from_dict
 from .spectral import _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum
 
 _MAGIC = b"S2FIELD\x00"
@@ -32,7 +33,7 @@ class Axis:
             raise GridError(
                 f"axis origin and step must be finite, got {self.lo}, {self.step}"
             )
-        if self.count < 2:
+        if checked_int(self.count, "axis count") < 2:
             raise GridError(f"axis needs at least 2 points, got {self.count}")
         if self.step <= 0:
             raise GridError(f"axis step must be positive, got {self.step}")
@@ -158,8 +159,6 @@ class SampledField:
 
     @classmethod
     def load(cls, path):
-        from .groups import group_from_dict
-
         path = str(path)
         with open(path, "rb") as fh:
             data = fh.read()
@@ -552,7 +551,7 @@ def abel_approx_identity(f, group, R):
 
     For R in (0,1), evaluates the Abel sum of the reproducing series in
     closed multiplier form on the Euclidean Fourier side.  As R -> 1- the
-    output converges to f.
+    output converges to f.  It works in blocks of y rows of a fixed size.
     """
     if not 0.0 < R < 1.0:
         raise DimensionError(f"Abel parameter must be in (0,1), got {R}")
@@ -568,13 +567,17 @@ def abel_approx_identity(f, group, R):
     f_hat = f_hat.reshape(len(y_pts), len(tau_pts))
     _, mu, V, _, _ = _checked_spectrum(group, tau_pts, DEGENERACY_RTOL)
 
-    phase_yx = np.exp(1j * (y_pts @ xi_pts.T))
     partial = np.empty(f_hat.shape, dtype=complex)
-    for q in range(len(tau_pts)):
-        # the multiplier is the transform of the right convolution factor,
-        # which the twist exp(-2i y.M x) evaluates at xi + 2 M^T y
-        mult = abel_multiplier(mu[q], _shifted_energies(mu[q], V[q], xi_pts, y_pts), R)
-        partial[:, q] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, q])
+    rows = max(1, _CHUNK_ELEMENTS // len(xi_pts))
+    for lo in range(0, len(y_pts), rows):
+        b = slice(lo, lo + rows)
+        phase_yx = np.exp(1j * (y_pts[b] @ xi_pts.T))
+        for q in range(len(tau_pts)):
+            # the right factor's transform, read by the twist at xi + 2 M^T y
+            mult = abel_multiplier(
+                mu[q], _shifted_energies(mu[q], V[q], xi_pts, y_pts[b]), R
+            )
+            partial[b, q] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, q])
     partial /= np.prod([a.count * a.step for a in y_axes])
     out = _ft_axes(
         partial.reshape(f.values.shape), t_axes, group.m, tau_freqs, inverse=True

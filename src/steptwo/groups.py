@@ -10,6 +10,7 @@ kernels) is derived from these matrices.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,26 @@ SKEW_RTOL = 1e-12
 
 
 def finite_array(values, what):
-    """``values`` as a float array; DimensionError unless every entry is finite."""
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DimensionError(f"{what} must be finite, got {arr.tolist()}")
+    """``values`` as a float array; DimensionError unless all are finite reals."""
+    try:
+        arr = np.asarray(values)
+        arr = arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise DimensionError(f"{what} must be finite real numbers, got {values!r}")
     return arr
+
+
+def checked_int(value, what, low=None, high=None):
+    """``value`` as an int if it is a Python or numpy integer, not a bool, in
+    [low, high] (a bound may be None); else a DimensionError naming ``what``
+    and the value.  A float such as 2.0 is not an integer."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and (low is None or value >= low) and (high is None or value <= high)):
+        return int(value)
+    span = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+    raise DimensionError(f"{what} must be an integer{span}, got {value!r}")
 
 
 def _as_readonly(a):
@@ -133,8 +149,7 @@ class StepTwoGroup:
         at the point p, in the (d/dy, d/dt) coordinate basis.  Indices are
         0-based: k ranges over 0..2n-1.
         """
-        if not 0 <= k < self.m:
-            raise DimensionError(f"field index must be in [0, {self.m}), got {k}")
+        k = checked_int(k, "field index", 0, self.m - 1)
         self._check_point(p)
         coeff = np.zeros(self.dim)
         coeff[k] = 1.0
@@ -169,8 +184,7 @@ def make_group(n, r, B):
         Structure matrices.  Each must be skew-symmetric; the allowed
         asymmetry is ``SKEW_RTOL`` times the largest entry magnitude.
     """
-    if n < 1 or r < 1:
-        raise DimensionError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    n, r = checked_int(n, "n", 1), checked_int(r, "r", 1)
     mats = finite_array(B, "structure matrices")
     if mats.ndim != 3 or mats.shape[0] != r:
         raise DimensionError(
@@ -194,12 +208,11 @@ def make_group(n, r, B):
                 f"structure matrix {beta} is not skew-symmetric: "
                 f"max |B + B^T| = {asym:.3e}"
             )
-    return StepTwoGroup(n=int(n), r=int(r), B=_as_readonly(mats))
+    return StepTwoGroup(n=n, r=r, B=_as_readonly(mats))
 
 
 def _expand_triangle(flat, m):
     """Fill a skew matrix from its strict upper triangle in row-major order."""
-    flat = np.asarray(flat, dtype=float).reshape(-1)
     expect = m * (m - 1) // 2
     if flat.size != expect:
         raise DimensionError(
@@ -220,22 +233,23 @@ def group_from_dict(data):
     strict upper triangle in row-major order.
     """
     try:
-        n, r, raw = int(data["n"]), int(data["r"]), data["B"]
+        n, r, raw = data["n"], data["r"], data["B"]
     except (KeyError, TypeError) as exc:
         raise DimensionError(f"group definition missing field: {exc}") from exc
-    m = 2 * n
+    if not isinstance(raw, (list, tuple, np.ndarray)):
+        raise DimensionError(f"B must be a list of structure matrices, got {raw!r}")
+    m = 2 * checked_int(n, "n", 1)
     mats = []
     for beta, entry in enumerate(raw):
-        arr = np.asarray(entry, dtype=float)
+        arr = finite_array(entry, f"structure matrix B[{beta}]")
         if arr.ndim == 1:
-            mats.append(_expand_triangle(arr, m))
-        else:
-            if np.abs(arr + arr.T).max() != 0.0:
-                raise SkewSymmetryError(
-                    f"structure matrix {beta} loaded from file must be exactly "
-                    "skew-symmetric (store the strict upper triangle instead)"
-                )
-            mats.append(arr)
+            arr = _expand_triangle(arr, m)
+        elif arr.shape == (m, m) and np.any(arr + arr.T):
+            raise SkewSymmetryError(
+                f"structure matrix {beta} loaded from file must be exactly "
+                "skew-symmetric (store the strict upper triangle instead)"
+            )
+        mats.append(arr)
     return make_group(n, r, mats)
 
 
@@ -262,8 +276,7 @@ _QUATERNIONIC_B = np.array(
 
 def heisenberg(n):
     """The Heisenberg group H_n: r = 1, B^1 = direct sum of n symplectic blocks."""
-    if n < 1:
-        raise DimensionError(f"need n >= 1, got {n}")
+    n = checked_int(n, "n", 1)
     B = np.zeros((1, 2 * n, 2 * n))
     for j in range(n):
         B[0, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = _J2
@@ -279,9 +292,7 @@ def preset(name):
     """Look up a named group: "quaternionic-heisenberg" or "heisenberg-<N>"."""
     if name == "quaternionic-heisenberg":
         return quaternionic_heisenberg()
-    if name.startswith("heisenberg-"):
-        try:
-            return heisenberg(int(name[len("heisenberg-"):]))
-        except ValueError:
-            pass
+    digits = re.fullmatch(r"heisenberg-([0-9]+)", name)
+    if digits:
+        return heisenberg(int(digits[1]))
     raise DimensionError(f"unknown group preset {name!r}")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DegenerateTauError, DimensionError
-from .groups import finite_array
+from .groups import checked_int, finite_array
 
 
 def laguerre_poly(k, p, sigma):
@@ -25,8 +25,9 @@ def laguerre_poly(k, p, sigma):
     Stable for the desk-scale degrees used here (k up to a few hundred).
     Vectorized over sigma; raises where the value overflows.
     """
-    if k < 0 or p < 0:
-        raise DimensionError(f"laguerre_poly needs k, p >= 0, got k={k}, p={p}")
+    k = checked_int(k, "Laguerre index k", 0)
+    if p < 0:
+        raise DimensionError(f"the Laguerre order p must be >= 0, got {p}")
     sigma = finite_array(sigma, "sigma")
     prev = np.ones_like(sigma)
     if k == 0:
@@ -51,8 +52,7 @@ def laguerre_l(k, p, sigma):
     sigma^(p/2) e^(-sigma/2) as a single exponential, so moderate k + p
     cannot overflow.  At sigma = 0 the weight is 1 for p = 0 and 0 for p > 0.
     """
-    if k < 0 or p < 0:
-        raise DimensionError(f"laguerre_l needs k, p >= 0, got k={k}, p={p}")
+    poly = laguerre_poly(k, p, sigma)  # checks k, p and sigma
     sigma = finite_array(sigma, "sigma")
     log_ratio = 0.5 * (gammaln(k + 1) - gammaln(k + p + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -62,7 +62,7 @@ def laguerre_l(k, p, sigma):
     weight = np.exp(log_ratio + log_weight - 0.5 * sigma)
     if p > 0:
         weight = np.where(sigma > 0.0, weight, 0.0)
-    return laguerre_poly(k, p, sigma) * weight
+    return poly * weight
 
 
 def exp_laguerre_2d(k, p, y, tau_mag):
@@ -81,8 +81,7 @@ def exp_laguerre_2d(k, p, y, tau_mag):
     """
     if tau_mag <= 0:
         raise DimensionError(f"exp_laguerre_2d needs tau_mag > 0, got {tau_mag}")
-    if k < 0:
-        raise DimensionError(f"exp_laguerre_2d needs k >= 0, got {k}")
+    p = checked_int(p, "angular index p")
     y = np.asarray(y, dtype=float)
     z = y[..., 0] + 1j * y[..., 1]
     rho2 = y[..., 0] ** 2 + y[..., 1] ** 2
@@ -91,15 +90,6 @@ def exp_laguerre_2d(k, p, y, tau_mag):
     # (sgn p)^p with sgn 0 = +1, so the factor is 1 unless p < 0 and odd
     sign = -1.0 if (p < 0 and p % 2 != 0) else 1.0
     return (2.0 * tau_mag / np.pi) * sign * radial * np.exp(1j * p * theta)
-
-
-def _indices(values, name):
-    """Entries of an index vector as ints; a non-integer entry is an error."""
-    entries = np.atleast_1d(values).tolist()
-    if not all(isinstance(v, (int, float)) and float(v).is_integer()
-               for v in entries):
-        raise DimensionError(f"{name} entries must be integers, got {values!r}")
-    return tuple(int(v) for v in entries)
 
 
 @dataclass(frozen=True)
@@ -111,13 +101,18 @@ class MultiIndexPair:
     k: tuple
 
     def __post_init__(self):
-        p, k = _indices(self.p, "p"), _indices(self.k, "k")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        if len(p) != len(k):
+        for name, low in (("p", None), ("k", 0)):
+            values = getattr(self, name)
+            entries = np.atleast_1d(np.asarray(values, dtype=object)).tolist()
+            try:
+                entries = tuple(checked_int(v, name, low) for v in entries)
+            except DimensionError as exc:
+                raise DimensionError(
+                    f"{name} entries must be integers, got {values!r}: {exc}"
+                ) from None
+            object.__setattr__(self, name, entries)
+        if len(self.p) != len(self.k):
             raise DimensionError("index vectors p and k must have equal length")
-        if any(v < 0 for v in k):
-            raise DimensionError(f"k entries must be >= 0, got {k}")
 
     @property
     def n(self):
@@ -129,9 +124,8 @@ def basis_address(p, k):
 
     Componentwise, k = min(p, k) - 1 and p = p - k.
     """
-    p, k = np.array(_indices(p, "p")), np.array(_indices(k, "k"))
-    if p.shape != k.shape:
-        raise DimensionError("index vectors p and k must have equal length")
+    pair = MultiIndexPair(p=p, k=k)  # integer entries, equal lengths
+    p, k = np.array(pair.p), np.array(pair.k)
     if (p < 1).any() or (k < 1).any():
         raise DimensionError(
             f"basis address entries must be >= 1, got p={p.tolist()}, k={k.tolist()}"
@@ -193,8 +187,7 @@ def shift_apply(frame, which, idx):
         annihilates the element (so callers can prune).
     """
     op, j = which
-    if not 0 <= j < idx.n:
-        raise DimensionError(f"slot index {j} out of range for n={idx.n}")
+    j = checked_int(j, "slot index", 0, idx.n - 1)
     mu = float(frame.mu[j])
     k = list(idx.k)
     p = list(idx.p)

@@ -13,23 +13,20 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import DegenerateTauError, DimensionError, GridError
+from .groups import checked_int
 from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
 
 
 def _side(frame, K):
     """K^n addresses per side; the truncation K must be an integer >= 1."""
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
-        raise DimensionError(f"truncation K must be an integer >= 1, got {K!r}")
-    return K**frame.n
+    return checked_int(K, "truncation K", 1) ** frame.n
 
 
 def _offset(multi, K):
     off = 0
     for v in multi:
-        if not 1 <= v <= K:
-            raise DimensionError(
-                f"address entry {v} outside the truncation 1..{K}"
-            )
+        if not 1 <= checked_int(v, "address entry") <= K:
+            raise DimensionError(f"address entry {v} outside the truncation 1..{K}")
         off = off * K + (v - 1)
     return off
 
@@ -141,7 +138,8 @@ def laguerre_coefficients(f, frame, K):
     _resolution_guard(frame, K, f.axes)
     stack = _basis_stack(frame, K, f.mesh())
     w = f.cell_volume / exp_laguerre_l2_norm_sq(frame)
-    entries = np.einsum("x,ijx->ij", f.values.reshape(-1), stack.conj()) * w
+    # conj of <conj f, basis>: no conjugate copy of the K^(2n) x N table
+    entries = np.einsum("x,ijx->ij", f.values.reshape(-1).conj(), stack).conj() * w
     return LaguerreTensor(frame=frame, K=K, entries=entries)
 
 

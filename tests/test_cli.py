@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -217,6 +218,9 @@ def test_convolve_twisted_paths(tmp_path, capsys):
     direct = SampledField.load(out1)
     tens = SampledField.load(out2)
     assert np.abs(direct.values - tens.values).max() < 1e-3
+    # the inputs carry no group or tau; both outputs record the command's
+    for out in (direct, tens):
+        assert out.tau.tolist() == [1.0] and np.array_equal(out.group.B, h1.B)
 
     code, _, err = run_cli(
         ["convolve", "--a", str(fa), "--b", str(fb), "--group",
@@ -408,11 +412,18 @@ def test_usage_error_exit_code(monkeypatch):
          "truncation K"),
         (["tensor", "multiply", "--a", "K2.5_TENSOR", "--b", "K2.5_TENSOR"],
          "truncation K"),
+        (["group", "--group", "FLOAT_DIMS"], "n must be an integer"),
+        (["group", "--group", "SCALAR_B"], "B must be a list"),
+        (["group", "--group", "NULL_B"], "B[0] must be finite real numbers"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     nan_group = tmp_path / "nan.json"
     nan_group.write_text('{"n": 1, "r": 1, "B": [[NaN]]}')
+    for name, group in (("float_dims", '{"n": 1.9, "r": 1.2, "B": [[1.0]]}'),
+                        ("scalar_b", '{"n": 1, "r": 1, "B": 5}'),
+                        ("null_b", '{"n": 1, "r": 1, "B": [null]}')):
+        (tmp_path / f"{name}.json").write_text(group)
     (tmp_path / "bad.json").write_text('{"K": 2,')
     (tmp_path / "no_group.json").write_text('{"K": 2}')
     h1_dict = json.loads(st.heisenberg(1).to_json())
@@ -428,6 +439,9 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     (tmp_path / "f.field.json").write_text("{")
     paths = {
         "NAN_GROUP": str(nan_group),
+        "FLOAT_DIMS": str(tmp_path / "float_dims.json"),
+        "SCALAR_B": str(tmp_path / "scalar_b.json"),
+        "NULL_B": str(tmp_path / "null_b.json"),
         "OUT": str(tmp_path / "out.csv"),
         "BAD_JSON": str(tmp_path / "bad.json"),
         "NO_GROUP": str(tmp_path / "no_group.json"),
@@ -467,6 +481,20 @@ def test_closed_stdout_ends_quietly():
     assert proc.wait() == 1
     assert header.startswith(b"tau0,tau1,tau2,")
     assert err == b""
+
+
+# sha256 of the stdout of ``selftest all --seed 42``.  A change that alters
+# the report must update this digest and say why.
+SELFTEST_ALL_SHA256 = "f340e0e58454d2dc48c32ef6efa53ac0ff07ae3fb8e78faff76e350fe95c66b0"
+
+
+def test_selftest_report_is_pinned():
+    proc = subprocess.run(
+        [sys.executable, "-m", "steptwo.cli", "selftest", "all", "--seed", "42"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == SELFTEST_ALL_SHA256
 
 
 def test_selftest_smoke(capsys):

@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -727,6 +730,33 @@ class TestAbel:
             for R in (0.5, 0.9, 0.99)
         ]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM"
+    )
+    def test_memory_does_not_grow_with_the_grid(self):
+        # Abel builds its N_y x N_xi phase and multiplier arrays in blocks of
+        # y rows; whole, they take 85 MB each at 48^2 x 8.  The peak is the
+        # child's VmHWM: getrusage's ru_maxrss would keep the peak of the
+        # test process the child was forked from.
+        script = """
+import numpy as np
+import steptwo as st
+h1 = st.heisenberg(1)
+for n in (32, 48):
+    axy, axs = st.symmetric_axis(5.0, n), st.symmetric_axis(8.0, 8)
+    f = st.SampledField.from_function(
+        (axy, axy, axs), lambda p: np.exp(-np.sum(p**2, -1)))
+    st.abel_approx_identity(f, h1, 0.9)
+    with open("/proc/self/status") as fh:
+        print([int(l.split()[1]) for l in fh if l.startswith("VmHWM")][0] / 1024)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak32, peak48 = map(float, proc.stdout.split())
+        assert peak48 < 150.0 and peak48 - peak32 < 30.0, (peak32, peak48)
 
     def test_r_range_guard(self, h1):
         axy = symmetric_axis(4.0, 8)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import eval_genlaguerre, gamma
 
 import steptwo as st
 from conftest import random_skew_group
@@ -196,3 +197,53 @@ def test_point_validation(h1):
     q = st.quaternionic_heisenberg()
     with pytest.raises(st.DimensionError, match="does not belong"):
         h1.multiply(h1.origin(), q.origin())
+
+
+def _h1_dict(**fields):
+    return {"n": 1, "r": 1, "B": [[1.0]], **fields}
+
+
+_H1_FRAME = st.normalize(st.heisenberg(1), [1.0])
+
+
+_NOT_INTEGERS = {
+    "group-n-float": (lambda: st.group_from_dict(_h1_dict(n=1.9)), r"\bn must"),
+    "group-n-bool": (lambda: st.group_from_dict(_h1_dict(n=True)), r"\bn must"),
+    "group-n-str": (lambda: st.group_from_dict(_h1_dict(n="1")), r"\bn must"),
+    "group-B-scalar": (lambda: st.group_from_dict(_h1_dict(B=5)), r"\bB must"),
+    "heisenberg-float": (lambda: st.heisenberg(1.5), r"\bn must"),
+    "heisenberg-bool": (lambda: st.heisenberg(True), r"\bn must"),
+    "axis-count": (lambda: st.Axis(0.0, 1.0, 2.5), "axis count"),
+    "symmetric-axis-count": (lambda: st.symmetric_axis(1.0, 4.5), "axis count"),
+    "laguerre-poly-k": (lambda: st.laguerre_poly(2.5, 0, 1.0), "index k"),
+    "laguerre-l-k": (lambda: st.laguerre_l(2.5, 0, 1.0), "index k"),
+    "exp-laguerre-2d-k": (
+        lambda: st.exp_laguerre_2d(2.5, 0, [1.0, 0.0], 1.0), "index k"),
+    "exp-laguerre-2d-p": (
+        lambda: st.exp_laguerre_2d(1, 0.5, [1.0, 0.0], 1.0), "index p"),
+    "index-pair-bool": (lambda: st.MultiIndexPair(p=(True,), k=(0,)), "p entries"),
+    "shift-slot": (
+        lambda: st.shift_apply(_H1_FRAME, ("Z", 0.5), st.raw_index((0,), (0,))),
+        "slot index"),
+    "szego-level-bool": (lambda: st.szego_data(True, [1.0, 0.0, 0.0]), "level k"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, names", list(_NOT_INTEGERS.values()), ids=list(_NOT_INTEGERS)
+)
+def test_integer_inputs_follow_one_rule(call, names):
+    # a float, bool or string is not an integer, whatever its value
+    with pytest.raises(st.DimensionError, match=names):
+        call()
+
+
+def test_integer_rule_keeps_numpy_integers_and_real_orders():
+    g = st.group_from_dict(_h1_dict(n=np.int64(1), r=np.int32(1)))
+    assert (g.n, g.r) == (1, 1) and type(g.n) is int
+    assert st.Axis(0.0, 1.0, np.int64(3)).points().size == 3
+    # the generalized Laguerre order p stays real
+    weight = np.sqrt(gamma(3) / gamma(4.5)) * 0.5**0.75 * np.exp(-0.25)
+    assert st.laguerre_l(2, 1.5, 0.5) == pytest.approx(
+        weight * eval_genlaguerre(2, 1.5, 0.5), rel=1e-13
+    )

@@ -270,15 +270,24 @@ def test_sublaplacian_frame_independence(quat, rng):
 
 class TestHarmonicity:
     def test_stencil_is_live(self, h1, quat):
-        probe = lambda y, t: complex(y @ y)
+        calls = []
+
+        def probe(y, t):
+            calls.append(1)
+            return complex(y @ y)
+
         val = _sublaplacian_by_differences(
             h1, probe, np.array([1.0, 0.0]), np.array([0.5]), 1e-2
         )
         assert val == pytest.approx(-1.0, abs=1e-8)
+        # one second difference per field Y_k around one shared centre value
+        assert len(calls) == 2 * h1.m + 1
+        calls.clear()
         val = _sublaplacian_by_differences(
             quat, probe, np.array([1.0, 0, 0, 0]), np.zeros(3), 1e-2
         )
         assert val == pytest.approx(-2.0, abs=1e-8)
+        assert len(calls) == 2 * quat.m + 1
 
     def test_heisenberg_kernel_annihilated(self, h1):
         res, _ = st.horizontal_laplacian_residual(
