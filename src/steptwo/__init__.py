@@ -72,6 +72,7 @@ from .tensors import (
     sublap_symbol,
     synthesize,
     tensor_multiply,
+    twisted_product,
 )
 
 __version__ = "0.1.0"

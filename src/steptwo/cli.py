@@ -172,11 +172,7 @@ def cmd_convolve(args):
             out = fields.twisted_convolve(a, b, g, args.tau)
         elif args.path == "tensor":
             fr = spectral.normalize(g, args.tau)
-            T = tensors.tensor_multiply(
-                tensors.laguerre_coefficients(a, fr, args.K),
-                tensors.laguerre_coefficients(b, fr, args.K),
-            )
-            values = tensors.synthesize(T, a.mesh())
+            values = tensors.twisted_product(a, b, fr, args.K)
             out = fields.SampledField(a.axes, values, group=g, tau=args.tau)
         else:
             raise SteptwoError(

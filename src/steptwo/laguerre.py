@@ -82,7 +82,11 @@ def exp_laguerre_2d(k, p, y, tau_mag):
     if tau_mag <= 0:
         raise DimensionError(f"exp_laguerre_2d needs tau_mag > 0, got {tau_mag}")
     p = checked_int(p, "angular index p")
-    y = np.asarray(y, dtype=float)
+    y = finite_array(y, "points")
+    if y.shape[-1:] != (2,):
+        raise DimensionError(
+            f"points must have shape (..., 2) in the plane, got shape {y.shape}"
+        )
     z = y[..., 0] + 1j * y[..., 1]
     rho2 = y[..., 0] ** 2 + y[..., 1] ** 2
     radial = laguerre_l(k, abs(p), 2.0 * tau_mag * rho2)

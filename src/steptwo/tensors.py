@@ -81,6 +81,16 @@ def identity_tensor(frame, K):
 def indicator_tensor(frame, K, p, k):
     """Single-entry tensor at row address p, column address k."""
     side = _side(frame, K)
+    for name, address in (("p", p), ("k", k)):
+        try:
+            fits = len(address) == frame.n
+        except TypeError:  # a scalar has no entries to count
+            fits = False
+        if not fits:
+            raise DimensionError(
+                f"address {name} must have one entry per slot ({frame.n}), "
+                f"got {address!r}"
+            )
     entries = np.zeros((side, side), dtype=complex)
     entries[_offset(p, K), _offset(k, K)] = 1.0
     return LaguerreTensor(frame=frame, K=K, entries=entries)
@@ -121,6 +131,30 @@ def _resolution_guard(frame, K, axes):
         )
 
 
+def _check_analysis(f, frame, K, name):
+    _side(frame, K)
+    if frame.mu[-1] <= 0:
+        raise DegenerateTauError(f"{name} needs a non-degenerate frame")
+    if f.ndim != 2 * frame.n:
+        raise GridError(
+            f"field has {f.ndim} axes; expected {2 * frame.n} for this frame"
+        )
+    _resolution_guard(frame, K, f.axes)
+
+
+def _coefficients(f, frame, K, stack):
+    """Coefficients of f against a basis table built on f's grid."""
+    w = f.cell_volume / exp_laguerre_l2_norm_sq(frame)
+    # conj of <conj f, basis>: no conjugate copy of the K^(2n) x N table
+    entries = np.einsum("x,ijx->ij", f.values.reshape(-1).conj(), stack).conj() * w
+    return LaguerreTensor(frame=frame, K=K, entries=entries)
+
+
+def _expansion(T, stack):
+    """Flat values of the expansion T at the points of its basis table."""
+    return np.einsum("ij,ijx->x", T.entries, stack)
+
+
 def laguerre_coefficients(f, frame, K):
     """Analysis: project a sampled field onto the truncated Laguerre basis.
 
@@ -128,27 +162,37 @@ def laguerre_coefficients(f, frame, K):
     divided by their common squared norm (2/pi)^n prod_j mu_j; all
     addresses with entries <= K are retained.
     """
-    _side(frame, K)
-    if frame.mu[-1] <= 0:
-        raise DegenerateTauError("laguerre_coefficients needs a non-degenerate frame")
-    if f.ndim != 2 * frame.n:
-        raise GridError(
-            f"field has {f.ndim} axes; expected {2 * frame.n} for this frame"
-        )
-    _resolution_guard(frame, K, f.axes)
-    stack = _basis_stack(frame, K, f.mesh())
-    w = f.cell_volume / exp_laguerre_l2_norm_sq(frame)
-    # conj of <conj f, basis>: no conjugate copy of the K^(2n) x N table
-    entries = np.einsum("x,ijx->ij", f.values.reshape(-1).conj(), stack).conj() * w
-    return LaguerreTensor(frame=frame, K=K, entries=entries)
+    _check_analysis(f, frame, K, "laguerre_coefficients")
+    return _coefficients(f, frame, K, _basis_stack(frame, K, f.mesh()))
 
 
 def synthesize(T, y):
     """Evaluate the truncated expansion at points y of shape (..., 2n)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    stack = _basis_stack(T.frame, T.K, y)
-    out = np.einsum("ij,ijx->x", T.entries, stack)
-    return out.reshape(y.shape[:-1])
+    return _expansion(T, _basis_stack(T.frame, T.K, y)).reshape(y.shape[:-1])
+
+
+def twisted_product(f, g, frame, K):
+    """Twisted convolution of f and g at the frame's tau, on f's grid.
+
+    The truncated symbols of f and g are multiplied and the product is
+    synthesized on f's grid: the same values as analysing both fields,
+    ``tensor_multiply`` and ``synthesize`` on ``f.mesh()``, from one basis
+    table on f's grid shared by the analysis of f, the analysis of g (when
+    g is on the same grid) and the synthesis.
+    """
+    for h in (f, g):
+        _check_analysis(h, frame, K, "twisted_product")
+    shared = g.axes == f.axes
+    if not shared:
+        # g's own table is built and dropped before f's: one table at a time
+        G = _coefficients(g, frame, K, _basis_stack(frame, K, g.mesh()))
+    mesh = f.mesh()
+    stack = _basis_stack(frame, K, mesh)
+    F = _coefficients(f, frame, K, stack)
+    if shared:
+        G = _coefficients(g, frame, K, stack)
+    return _expansion(tensor_multiply(F, G), stack).reshape(mesh.shape[:-1])
 
 
 def tensor_multiply(A, B):

@@ -231,6 +231,27 @@ def test_convolve_twisted_paths(tmp_path, capsys):
     assert code == 1 and "direct or tensor" in err
 
 
+def test_convolve_tensor_path_takes_b_on_another_grid(tmp_path, capsys):
+    h1 = st.heisenberg(1)
+    gauss = lambda p: np.exp(-1.3 * np.sum(p**2, -1)) + 0j  # noqa: E731
+    a = SampledField.from_function((symmetric_axis(6.0, 64),) * 2, gauss)
+    b = SampledField.from_function((symmetric_axis(5.0, 72),) * 2, gauss)
+    fa, fb = tmp_path / "a.field", tmp_path / "b.field"
+    a.save(fa)
+    b.save(fb)
+    out = tmp_path / "tensor.field"
+    common = ["convolve", "--a", str(fa), "--b", str(fb), "--group",
+              "preset:heisenberg-1", "--tau", "1", "--out", str(out)]
+    code, _, err = run_cli(common + ["--path", "tensor", "--K", "6"], capsys)
+    assert code == 0, err
+    want = st.twisted_product(a, b, st.normalize(h1, [1.0]), 6)
+    got = SampledField.load(out)
+    assert got.axes == a.axes and np.array_equal(got.values, want)
+
+    code, _, err = run_cli(common + ["--path", "direct"], capsys)
+    assert code == 1 and "share the same grid" in err
+
+
 def test_convolve_needs_an_output_before_it_loads(tmp_path, capsys):
     # the inputs do not exist: the missing output is reported, not the inputs
     missing = str(tmp_path / "missing.field")

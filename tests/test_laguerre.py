@@ -140,6 +140,14 @@ class TestPlanarBasis:
         assert st.exp_laguerre_2d(2, 1, origin, 1.0) == 0.0
         assert st.exp_laguerre_2d(2, 0, origin, 1.0) == pytest.approx(2.0 / np.pi)
 
+    def test_points_are_checked(self):
+        for pts in ([1.0], [[1.0, 0.0, 2.0]], 3.0):
+            with pytest.raises(st.DimensionError, match=r"shape \(\.\.\., 2\)"):
+                st.exp_laguerre_2d(1, 0, pts, 1.0)
+        for pts in ([np.nan, 0.0], [[1.0, 0.0], [np.inf, 1.0]], "ab"):
+            with pytest.raises(st.DimensionError, match="points must be finite"):
+                st.exp_laguerre_2d(1, 0, pts, 1.0)
+
     def test_requires_positive_frequency(self):
         with pytest.raises(st.DimensionError):
             st.exp_laguerre_2d(0, 0, np.zeros(2), 0.0)

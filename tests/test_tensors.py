@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def grid96():
 
 def offset_gaussians(rng, axes, terms=2):
     c = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
-    o = 0.4 * rng.standard_normal((terms, 2))
+    o = 0.4 * rng.standard_normal((terms, len(axes)))
     a = 0.8 + 0.6 * rng.random(terms)
     return SampledField.from_function(
         axes,
@@ -67,6 +69,12 @@ class TestStructure:
             st.indicator_tensor(frame, 4, (0,), (1,))
         with pytest.raises(st.DimensionError, match="outside the truncation"):
             st.indicator_tensor(frame, 4, (5,), (1,))
+
+    def test_address_has_one_entry_per_slot(self, frame):
+        for p, k, name in (((2, 2), (1,), "p"), ((1, 1), (1,), "p"),
+                           ((1,), (), "k"), (2, (1,), "p"), ((1,), np.array(1), "k")):
+            with pytest.raises(st.DimensionError, match=f"address {name} must have"):
+                st.indicator_tensor(frame, 2, p, k)
 
     def test_entries_must_be_finite(self, frame):
         bad = np.full((4, 4), np.inf, dtype=complex)
@@ -181,6 +189,68 @@ class TestAnalysisSynthesis:
         )
         with pytest.raises(st.GridError, match="axes"):
             st.laguerre_coefficients(f, frame, 4)
+
+
+class TestTwistedProduct:
+    """The one-table product against analysis, product and synthesis."""
+
+    @staticmethod
+    def composed(f, g, fr, K):
+        T = st.tensor_multiply(
+            st.laguerre_coefficients(f, fr, K), st.laguerre_coefficients(g, fr, K)
+        )
+        return st.synthesize(T, f.mesh())
+
+    @pytest.fixture
+    def cases(self, frame, grid96, quat, rng):
+        quat_frame = st.normalize(quat, [0.3, -0.5, 0.8])
+        quat_grid = (symmetric_axis(3.0, 16),) * 4
+        other = (symmetric_axis(5.0, 100),) * 2
+        return {
+            "h1-K6": (offset_gaussians(rng, grid96), offset_gaussians(rng, grid96),
+                      frame, 6),
+            "quat-K2": (offset_gaussians(rng, quat_grid),
+                        offset_gaussians(rng, quat_grid), quat_frame, 2),
+            "h1-K6-other-grid": (offset_gaussians(rng, grid96),
+                                 offset_gaussians(rng, other), frame, 6),
+        }
+
+    def test_equals_the_three_table_composition(self, cases):
+        for f, g, fr, K in cases.values():
+            got = st.twisted_product(f, g, fr, K)
+            assert got.shape == f.values.shape
+            assert np.array_equal(got, self.composed(f, g, fr, K))
+
+    def test_builds_one_table_per_grid(self, cases, monkeypatch):
+        calls = []
+        basis = st.tensors.exp_laguerre
+        monkeypatch.setattr(
+            st.tensors, "exp_laguerre",
+            lambda *a, **kw: calls.append(1) or basis(*a, **kw),
+        )
+        for key, (f, g, fr, K) in cases.items():
+            tables = 2 if key.endswith("other-grid") else 1
+            calls.clear()
+            st.twisted_product(f, g, fr, K)
+            assert len(calls) == tables * fr.n * K**2
+
+    def test_checks_both_fields_as_analysis_does(self, frame, grid96, rng):
+        good = offset_gaussians(rng, grid96)
+        coarse = offset_gaussians(rng, (symmetric_axis(6.0, 24),) * 2)
+        cube = offset_gaussians(rng, (symmetric_axis(6.0, 20),) * 3)
+        flat = dataclasses.replace(frame, mu=np.zeros(1))
+
+        def error(call):
+            with pytest.raises(st.SteptwoError) as info:
+                call()
+            text = str(info.value).replace("twisted_product", "laguerre_coefficients")
+            return type(info.value), text
+
+        for bad, fr, K in ((coarse, frame, 8), (cube, frame, 4), (good, flat, 4),
+                           (good, frame, 0)):
+            want = error(lambda: st.laguerre_coefficients(bad, fr, K))
+            assert error(lambda: st.twisted_product(bad, good, fr, K)) == want
+            assert error(lambda: st.twisted_product(good, bad, fr, K)) == want
 
 
 class TestMultiplicativity:
