@@ -45,6 +45,21 @@ def laguerre_poly(k, p, sigma):
     return cur
 
 
+def _log_sigma(sigma):
+    """log(sigma) where sigma > 0 and 0 elsewhere, for ``_weight``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.where(sigma > 0, sigma, 1.0))
+
+
+def _weight(k, p, sigma, log_sigma):
+    """The factor that turns L_k^(p) into l_k^(p), given ``_log_sigma(sigma)``."""
+    log_ratio = 0.5 * (gammaln(k + 1) - gammaln(k + p + 1))
+    weight = np.exp(log_ratio + 0.5 * p * log_sigma - 0.5 * sigma)
+    if p > 0:
+        weight = np.where(sigma > 0.0, weight, 0.0)
+    return weight
+
+
 def laguerre_l(k, p, sigma):
     """Normalized Laguerre function l_k^(p), orthonormal on [0, inf) for fixed p.
 
@@ -54,15 +69,44 @@ def laguerre_l(k, p, sigma):
     """
     poly = laguerre_poly(k, p, sigma)  # checks k, p and sigma
     sigma = finite_array(sigma, "sigma")
-    log_ratio = 0.5 * (gammaln(k + 1) - gammaln(k + p + 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_weight = np.where(
-            sigma > 0.0, 0.5 * p * np.log(np.where(sigma > 0, sigma, 1.0)), 0.0
+    return poly * _weight(k, p, sigma, _log_sigma(sigma))
+
+
+def _plane_blocks(indices, y, tau_mag):
+    """The 2-d block of each (k, p) in ``indices`` at points y, shape (..., 2).
+
+    Yields one array per index.  The angle and log sigma are computed once
+    per call, the radial function once per distinct (k, |p|) and
+    e^(i p theta) once per |p| >= 1, conjugated for negative p.
+    """
+    tau = finite_array(tau_mag, "tau_mag")
+    if tau.ndim or not tau > 0:
+        raise DimensionError(f"tau_mag must be a real number > 0, got {tau_mag!r}")
+    tau_mag = float(tau)
+    y = finite_array(y, "points")
+    if y.shape[-1:] != (2,):
+        raise DimensionError(
+            f"points must have shape (..., 2) in the plane, got shape {y.shape}"
         )
-    weight = np.exp(log_ratio + log_weight - 0.5 * sigma)
-    if p > 0:
-        weight = np.where(sigma > 0.0, weight, 0.0)
-    return poly * weight
+    sigma = 2.0 * tau_mag * (y[..., 0] ** 2 + y[..., 1] ** 2)
+    theta = np.angle(y[..., 0] + 1j * y[..., 1])
+    log_sigma = None
+    radials, phases = {}, {0: 1 + 0j}
+    for k, p in indices:
+        k = checked_int(k, "Laguerre index k", 0)
+        p = checked_int(p, "angular index p")
+        q = abs(p)
+        if (k, q) not in radials:
+            poly = laguerre_poly(k, q, sigma)  # checks sigma
+            if log_sigma is None:
+                log_sigma = _log_sigma(sigma)
+            radials[k, q] = poly * _weight(k, q, sigma, log_sigma)
+        if q not in phases:
+            phases[q] = np.exp(1j * q * theta)
+        phase = phases[q] if p >= 0 else phases[q].conj()
+        # (sgn p)^p with sgn 0 = +1, so the factor is 1 unless p < 0 and odd
+        sign = -1.0 if (p < 0 and p % 2 != 0) else 1.0
+        yield (2.0 * tau_mag / np.pi) * sign * radials[k, q] * phase
 
 
 def exp_laguerre_2d(k, p, y, tau_mag):
@@ -79,21 +123,7 @@ def exp_laguerre_2d(k, p, y, tau_mag):
     tau_mag : float > 0
         Frequency magnitude.
     """
-    if tau_mag <= 0:
-        raise DimensionError(f"exp_laguerre_2d needs tau_mag > 0, got {tau_mag}")
-    p = checked_int(p, "angular index p")
-    y = finite_array(y, "points")
-    if y.shape[-1:] != (2,):
-        raise DimensionError(
-            f"points must have shape (..., 2) in the plane, got shape {y.shape}"
-        )
-    z = y[..., 0] + 1j * y[..., 1]
-    rho2 = y[..., 0] ** 2 + y[..., 1] ** 2
-    radial = laguerre_l(k, abs(p), 2.0 * tau_mag * rho2)
-    theta = np.angle(z)
-    # (sgn p)^p with sgn 0 = +1, so the factor is 1 unless p < 0 and odd
-    sign = -1.0 if (p < 0 and p % 2 != 0) else 1.0
-    return (2.0 * tau_mag / np.pi) * sign * radial * np.exp(1j * p * theta)
+    return next(_plane_blocks([(k, p)], y, tau_mag))
 
 
 @dataclass(frozen=True)
@@ -148,23 +178,36 @@ def exp_laguerre(frame, idx, y):
     rescaled frame coordinates sqrt(mu_j(tau/|tau|)) * y_j, with one
     mu_j(tau/|tau|) prefactor per slot.  ``idx`` is a MultiIndexPair;
     ``y`` has shape (..., 2n) and the result the corresponding leading
-    shape.
+    shape.  ``idx`` may also be a list of MultiIndexPairs: the result then
+    has a leading axis with one entry per pair, and each slot's angle,
+    radial functions and phases are computed once for the whole list.
     """
-    if idx.n != frame.n:
-        raise DimensionError(
-            f"index has {idx.n} slots but the frame has {frame.n}"
-        )
+    single = isinstance(idx, MultiIndexPair)
+    indices = [idx] if single else list(idx)
+    for one in indices:
+        if not isinstance(one, MultiIndexPair):
+            raise DimensionError(
+                f"exp_laguerre needs a MultiIndexPair or a list of them, got {one!r}"
+            )
+        if one.n != frame.n:
+            raise DimensionError(
+                f"index has {one.n} slots but the frame has {frame.n}"
+            )
     if frame.mu[-1] <= 0:
         raise DegenerateTauError("exp_laguerre needs a non-degenerate frame")
     yt = frame.tau_coordinates(y)
     mu_unit = frame.mu_unit
-    out = np.ones(yt.shape[:-1], dtype=complex)
+    out = np.ones((len(indices),) + yt.shape[:-1], dtype=complex)
     for j in range(frame.n):
         pair = np.sqrt(mu_unit[j]) * yt[..., 2 * j : 2 * j + 2]
-        out = out * mu_unit[j] * exp_laguerre_2d(
-            idx.k[j], idx.p[j], pair, frame.tau_mag
+        blocks = _plane_blocks(
+            [(one.k[j], one.p[j]) for one in indices], pair, frame.tau_mag
         )
-    return out
+        for a, block in enumerate(blocks):
+            row = out[a, ...]  # a view, also when y is a single point
+            row *= mu_unit[j]
+            row *= block
+    return out[0] if single else out
 
 
 def exp_laguerre_l2_norm_sq(frame):

@@ -96,25 +96,21 @@ def indicator_tensor(frame, K, p, k):
     return LaguerreTensor(frame=frame, K=K, entries=entries)
 
 
-def _basis_stack(frame, K, pts):
-    """All K^(2n) basis functions on the points, shape (rows, cols, npts).
-
-    Each basis function is a product over slots of one-slot functions, so
-    slot j's K x K blocks fill (j = 0) or multiply into the stack along
-    its row entry j and column entry j: n K^2 evaluations in place.
+def _slot_tables(frame, K, pts):
+    """One K x K table of one-slot basis functions per slot, each of shape
+    (K, K, npts): entry [p, k] of table j is slot j's block at address
+    (p + 1, k + 1).  A basis function at addresses (p, k) is the product
+    over slots j of table j's entry [p_j - 1, k_j - 1]; that product table
+    is never formed.
     """
-    n = frame.n
     flat = pts.reshape(-1, pts.shape[-1])
-    stack = np.empty((K**n, K**n, flat.shape[0]), dtype=complex)
-    entries = stack.reshape((K,) * (2 * n) + (flat.shape[0],))
-    for j, p, k in iproduct(range(n), range(K), range(K)):
-        block = exp_laguerre(frame.slot(j), basis_address((p + 1,), (k + 1,)), flat)
-        sub = np.moveaxis(entries, (j, n + j), (0, 1))[p, k]
-        if j == 0:
-            sub[...] = block
-        else:
-            sub *= block
-    return stack
+    addresses = [
+        basis_address((p + 1,), (k + 1,)) for p, k in iproduct(range(K), range(K))
+    ]
+    return [
+        exp_laguerre(frame.slot(j), addresses, flat).reshape(K, K, -1)
+        for j in range(frame.n)
+    ]
 
 
 def _resolution_guard(frame, K, axes):
@@ -142,17 +138,52 @@ def _check_analysis(f, frame, K, name):
     _resolution_guard(frame, K, f.axes)
 
 
-def _coefficients(f, frame, K, stack):
-    """Coefficients of f against a basis table built on f's grid."""
+def _slot_pairs(n):
+    """Axis order taking (p_1, ..., p_n, k_1, ..., k_n) to slot pairs
+    (p_1, k_1, ..., p_n, k_n), the axes of the slot tables."""
+    return [a for j in range(n) for a in (j, n + j)]
+
+
+def _coefficients(f, frame, K, tables):
+    """Coefficients of f against slot tables built on f's grid.
+
+    conj f is weighted by the tables of slots 1..n-1, one address pair at
+    a time, and summed against the last table: no K^(2n) x N table.
+    """
+    n = frame.n
     w = f.cell_volume / exp_laguerre_l2_norm_sq(frame)
-    # conj of <conj f, basis>: no conjugate copy of the K^(2n) x N table
-    entries = np.einsum("x,ijx->ij", f.values.reshape(-1).conj(), stack).conj() * w
+    conj_f = f.values.reshape(-1).conj()
+    entries = np.empty((K,) * (2 * n), dtype=complex)
+    pairs = entries.transpose(_slot_pairs(n))  # a view
+    *first, last = tables
+    # conj of <conj f, basis>: no conjugate copy of the tables
+    if not first:
+        # n = 1 keeps one einsum: the pinned selftest report and the H1
+        # outputs depend on its bits
+        pairs[...] = np.einsum("x,ijx->ij", conj_f, last)
+    else:
+        for m in np.ndindex(pairs.shape[:-2]):
+            row = conj_f
+            for j, table in enumerate(first):
+                row = row * table[m[2 * j], m[2 * j + 1]]
+            # numpy's pairwise sum: a sequential sum over the N points
+            # would lose about sqrt(N) ulps of the largest entry
+            pairs[m] = (row * last).sum(-1)
+    side = K**n
+    entries = entries.reshape(side, side).conj() * w
     return LaguerreTensor(frame=frame, K=K, entries=entries)
 
 
-def _expansion(T, stack):
-    """Flat values of the expansion T at the points of its basis table."""
-    return np.einsum("ij,ijx->x", T.entries, stack)
+def _expansion(T, tables):
+    """Flat values of the expansion T at the points of its slot tables.
+
+    T is contracted with the last table, then with each earlier one.
+    """
+    values = T.entries.reshape((T.K,) * (2 * T.n)).transpose(_slot_pairs(T.n))
+    values = np.einsum("...ij,ijx->...x", values, tables[-1])
+    for table in reversed(tables[:-1]):
+        values = np.einsum("...ijx,ijx->...x", values, table)
+    return values
 
 
 def laguerre_coefficients(f, frame, K):
@@ -163,13 +194,13 @@ def laguerre_coefficients(f, frame, K):
     addresses with entries <= K are retained.
     """
     _check_analysis(f, frame, K, "laguerre_coefficients")
-    return _coefficients(f, frame, K, _basis_stack(frame, K, f.mesh()))
+    return _coefficients(f, frame, K, _slot_tables(frame, K, f.mesh()))
 
 
 def synthesize(T, y):
     """Evaluate the truncated expansion at points y of shape (..., 2n)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _expansion(T, _basis_stack(T.frame, T.K, y)).reshape(y.shape[:-1])
+    return _expansion(T, _slot_tables(T.frame, T.K, y)).reshape(y.shape[:-1])
 
 
 def twisted_product(f, g, frame, K):
@@ -177,22 +208,22 @@ def twisted_product(f, g, frame, K):
 
     The truncated symbols of f and g are multiplied and the product is
     synthesized on f's grid: the same values as analysing both fields,
-    ``tensor_multiply`` and ``synthesize`` on ``f.mesh()``, from one basis
-    table on f's grid shared by the analysis of f, the analysis of g (when
-    g is on the same grid) and the synthesis.
+    ``tensor_multiply`` and ``synthesize`` on ``f.mesh()``, from one set of
+    slot tables on f's grid shared by the analysis of f, the analysis of g
+    (when g is on the same grid) and the synthesis.
     """
     for h in (f, g):
         _check_analysis(h, frame, K, "twisted_product")
     shared = g.axes == f.axes
     if not shared:
-        # g's own table is built and dropped before f's: one table at a time
-        G = _coefficients(g, frame, K, _basis_stack(frame, K, g.mesh()))
+        # g's own tables are built and dropped before f's: one set at a time
+        G = _coefficients(g, frame, K, _slot_tables(frame, K, g.mesh()))
     mesh = f.mesh()
-    stack = _basis_stack(frame, K, mesh)
-    F = _coefficients(f, frame, K, stack)
+    tables = _slot_tables(frame, K, mesh)
+    F = _coefficients(f, frame, K, tables)
     if shared:
-        G = _coefficients(g, frame, K, stack)
-    return _expansion(tensor_multiply(F, G), stack).reshape(mesh.shape[:-1])
+        G = _coefficients(g, frame, K, tables)
+    return _expansion(tensor_multiply(F, G), tables).reshape(mesh.shape[:-1])
 
 
 def tensor_multiply(A, B):

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 import steptwo as st
 from steptwo.errors import GridError
@@ -69,6 +70,29 @@ def basis_stack_direct(frame, K, pts):
         for j, k in enumerate(addrs):
             stack[i, j] = st.exp_laguerre(frame, st.basis_address(p, k), flat)
     return stack
+
+
+def exp_laguerre_scipy(frame, idx, pts):
+    """Exponential Laguerre basis function from scipy's ``eval_genlaguerre``
+    (independent oracle of ``exp_laguerre``).
+
+    Per slot j, with z = sqrt(mu_j(tau/|tau|)) (y_2j + i y_2j+1) in frame
+    coordinates, the factor is mu_j(tau/|tau|) (2 tau / pi) (sgn p)^p
+    l_k^(|p|)(2 tau |z|^2) e^(i p arg z).
+    """
+    tau_mag = np.linalg.norm(frame.tau)
+    mu_unit = frame.mu / tau_mag
+    yt = np.asarray(pts, dtype=float) @ frame.O
+    out = np.ones(yt.shape[:-1], dtype=complex)
+    for j, (k, p) in enumerate(zip(idx.k, idx.p)):
+        z = np.sqrt(mu_unit[j]) * (yt[..., 2 * j] + 1j * yt[..., 2 * j + 1])
+        q = abs(p)
+        sigma = 2.0 * tau_mag * np.abs(z) ** 2
+        norm = np.exp(0.5 * (gammaln(k + 1) - gammaln(k + q + 1)))
+        radial = norm * sigma ** (0.5 * q) * np.exp(-0.5 * sigma) * eval_genlaguerre(k, q, sigma)
+        sign = -1.0 if (p < 0 and p % 2) else 1.0
+        out *= mu_unit[j] * (2.0 * tau_mag / np.pi) * sign * radial * np.exp(1j * p * np.angle(z))
+    return out
 
 
 def twisted_direct(f, g, M, stride=1):

@@ -7,7 +7,7 @@ from scipy.special import eval_genlaguerre
 
 import steptwo as st
 from steptwo.tensors import _offset
-from conftest import laguerre_series_oracle, sublap_eigenvalue
+from conftest import exp_laguerre_scipy, laguerre_series_oracle, sublap_eigenvalue
 
 
 class TestPolynomials:
@@ -149,8 +149,9 @@ class TestPlanarBasis:
                 st.exp_laguerre_2d(1, 0, pts, 1.0)
 
     def test_requires_positive_frequency(self):
-        with pytest.raises(st.DimensionError):
-            st.exp_laguerre_2d(0, 0, np.zeros(2), 0.0)
+        for tau in (0.0, -1.0, np.nan, np.inf, -np.inf, "x", True, [1.0, 2.0]):
+            with pytest.raises(st.DimensionError, match="tau_mag"):
+                st.exp_laguerre_2d(0, 0, np.zeros(2), tau)
 
 
 class TestMultiIndexPair:
@@ -226,6 +227,44 @@ class TestTensorBasis:
                 np.abs(st.exp_laguerre(fr, idx, pts)),
                 atol=1e-12,
             )
+
+    @staticmethod
+    def raw_indices(n, kmax, pmax):
+        """Every raw index with k_j in 0..kmax and |p_j| <= pmax."""
+        slots = list(product(range(kmax + 1), range(-pmax, pmax + 1)))
+        return [
+            st.raw_index(tuple(k for k, _ in c), tuple(p for _, p in c))
+            for c in product(slots, repeat=n)
+        ]
+
+    def cases(self, h1, quat, rng):
+        return (
+            (st.normalize(h1, [0.9]), self.raw_indices(1, 4, 4),
+             1.5 * rng.standard_normal((300, 2))),
+            (st.normalize(quat, [0.3, -0.5, 0.8]), self.raw_indices(2, 2, 2),
+             1.5 * rng.standard_normal((200, 4))),
+        )
+
+    def test_list_form_equals_single_calls(self, h1, quat, rng):
+        for fr, indices, pts in self.cases(h1, quat, rng):
+            got = st.exp_laguerre(fr, indices, pts)
+            want = np.stack([st.exp_laguerre(fr, idx, pts) for idx in indices])
+            assert got.shape == (len(indices), len(pts))
+            assert got.tobytes() == want.tobytes()
+            # a single point keeps only the address axis
+            one = st.exp_laguerre(fr, indices, pts[0])
+            want = np.stack([st.exp_laguerre(fr, idx, pts[0]) for idx in indices])
+            assert one.tobytes() == want.tobytes()
+        with pytest.raises(st.DimensionError, match="MultiIndexPair"):
+            st.exp_laguerre(fr, [indices[0], (1, 1)], pts)
+        with pytest.raises(st.DimensionError, match="slots"):
+            st.exp_laguerre(fr, [indices[0], st.raw_index((0,), (0,))], pts)
+
+    def test_list_form_matches_scipy(self, h1, quat, rng):
+        for fr, indices, pts in self.cases(h1, quat, rng):
+            got = st.exp_laguerre(fr, indices, pts)
+            want = np.stack([exp_laguerre_scipy(fr, idx, pts) for idx in indices])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_points_are_checked(self, quat):
         fr = st.normalize(quat, [0.3, -0.5, 0.8])

@@ -1,11 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import steptwo as st
 from steptwo.fields import SampledField, lattice_points, symmetric_axis
-from steptwo.tensors import _basis_stack, _offset
+from steptwo.tensors import _offset, _slot_tables
 from conftest import basis_stack_direct, random_skew_group
 
 
@@ -97,14 +100,29 @@ class TestStructure:
 
 
 class TestBasisStack:
+    """The slot tables, multiplied out, are the table of all basis functions."""
+
     def _lattice(self, n, count):
         return lattice_points([symmetric_axis(6.0, count).points()] * (2 * n))
+
+    @staticmethod
+    def multiplied_out(tables):
+        """The K^(2n) x npts table of basis functions the slot tables stand for."""
+        n, K = len(tables), tables[0].shape[0]
+        stack = tables[0]
+        for table in tables[1:]:
+            stack = stack[..., None, None, :] * table
+        # axes (p_1, k_1, ..., p_n, k_n, x) to rows p and columns k
+        order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n]
+        return stack.transpose(order).reshape(K**n, K**n, -1)
 
     def test_heisenberg_stack_is_the_direct_stack(self, frame):
         pts = self._lattice(1, 64)
         for K in (3, 6):
+            tables = _slot_tables(frame, K, pts)
+            assert len(tables) == 1 and tables[0].shape == (K, K, len(pts))
             assert np.array_equal(
-                _basis_stack(frame, K, pts), basis_stack_direct(frame, K, pts)
+                self.multiplied_out(tables), basis_stack_direct(frame, K, pts)
             )
 
     def test_product_over_slots(self, quat, rng):
@@ -121,7 +139,7 @@ class TestBasisStack:
         )
         for fr, K, pts in cases:
             want = basis_stack_direct(fr, K, pts)
-            got = _basis_stack(fr, K, pts)
+            got = self.multiplied_out(_slot_tables(fr, K, pts))
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -232,7 +250,7 @@ class TestTwistedProduct:
             tables = 2 if key.endswith("other-grid") else 1
             calls.clear()
             st.twisted_product(f, g, fr, K)
-            assert len(calls) == tables * fr.n * K**2
+            assert len(calls) == tables * fr.n
 
     def test_checks_both_fields_as_analysis_does(self, frame, grid96, rng):
         good = offset_gaussians(rng, grid96)
@@ -251,6 +269,57 @@ class TestTwistedProduct:
             want = error(lambda: st.laguerre_coefficients(bad, fr, K))
             assert error(lambda: st.twisted_product(bad, good, fr, K)) == want
             assert error(lambda: st.twisted_product(good, bad, fr, K)) == want
+
+
+class TestSlotContraction:
+    """Analysis and synthesis contract the slot tables one slot at a time."""
+
+    def test_coefficients_match_extended_precision(self, quat, rng):
+        # the contraction of the same slot values in np.clongdouble, summed
+        # pairwise: what is left is the float64 contraction's own error
+        fr = st.normalize(quat, [0.3, -0.5, 0.6])
+        K = 2
+        f = offset_gaussians(rng, (symmetric_axis(4.0, 20),) * 4)
+        S0, S1 = (t.astype(np.clongdouble) for t in _slot_tables(fr, K, f.mesh()))
+        conj_f = f.values.reshape(-1).conj().astype(np.clongdouble)
+        ref = np.empty((K,) * 4, dtype=np.clongdouble)
+        for p0 in range(K):
+            for k0 in range(K):
+                ref[p0, k0] = (conj_f * S0[p0, k0] * S1).sum(-1)
+        w = f.cell_volume / st.exp_laguerre_l2_norm_sq(fr)
+        ref = ref.conj().transpose(0, 2, 1, 3).reshape(K * K, K * K) * w
+        got = st.laguerre_coefficients(f, fr, K).entries
+        assert np.abs(got - ref).max() <= 3e-14 * np.abs(ref).max()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM"
+    )
+    def test_product_memory_stays_below_the_product_table(self):
+        # quaternionic K = 3 on 16^4: the K^(2n) x N product table alone is
+        # 85 MB; the two slot tables are 19 MB.  The peak is the child's
+        # VmHWM, read before and after the call.
+        script = """
+import numpy as np
+import steptwo as st
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return [int(l.split()[1]) for l in fh if l.startswith("VmHWM")][0] / 1024
+
+fr = st.normalize(st.quaternionic_heisenberg(), [0.3, -0.4, 0.5])
+ax = st.symmetric_axis(2.8, 16)
+f = st.SampledField.from_function((ax,) * 4, lambda p: np.exp(-np.sum(p**2, -1)) + 0j)
+g = st.SampledField.from_function(
+    (ax,) * 4, lambda p: np.exp(-np.sum((p - 0.3) ** 2, -1)) + 0j)
+before = peak()
+st.twisted_product(f, g, fr, 3)
+print(peak() - before)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 60.0, proc.stdout
 
 
 class TestMultiplicativity:
