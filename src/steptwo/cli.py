@@ -8,6 +8,7 @@ for a fixed command line and seed, independent of the thread count.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,7 +74,7 @@ def _load_group(spec):
 
 def _write(args, text):
     """Write a report to --out when given, else to stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -85,13 +86,13 @@ def _emit(args, payload):
 
 
 def cmd_group(args):
-    g = _load_group(args.group)
+    g = args.group
     _emit(args, {"n": g.n, "r": g.r, "m": g.m, "B": [b.tolist() for b in g.B]})
     return 0
 
 
 def cmd_spectral_normalize(args):
-    g = _load_group(args.group)
+    g = args.group
     fr = spectral.normalize(g, args.tau, tol=args.tol)
     resid, ortho = fr.residuals(g.b_tau(args.tau))
     _emit(
@@ -109,7 +110,7 @@ def cmd_spectral_normalize(args):
 
 
 def cmd_spectral_scan(args):
-    g = _load_group(args.group)
+    g = args.group
     rng = np.random.default_rng(args.seed)
     samples = rng.standard_normal((args.samples, g.r))
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
@@ -148,7 +149,7 @@ def cmd_laguerre_eval(args):
 
 
 def cmd_laguerre_field(args):
-    g = _load_group(args.group)
+    g = args.group
     fr = spectral.normalize(g, args.tau)
     idx = laguerre.raw_index(args.k, args.p)
     field = fields.SampledField.from_function(
@@ -164,7 +165,7 @@ def cmd_laguerre_field(args):
 def cmd_convolve(args):
     if not args.csv and not args.out:
         raise SteptwoError("convolve needs --out and/or --csv")
-    g = _load_group(args.group)
+    g = args.group
     a = fields.SampledField.load(args.a)
     b = fields.SampledField.load(args.b)
     if args.tau is not None:
@@ -222,7 +223,7 @@ def _load_tensor(path):
 
 
 def cmd_tensor_of_field(args):
-    g = _load_group(args.group)
+    g = args.group
     f = fields.SampledField.load(args.field)
     fr = spectral.normalize(g, args.tau)
     T = tensors.laguerre_coefficients(f, fr, args.K)
@@ -238,7 +239,7 @@ def cmd_tensor_multiply(args):
 
 
 def cmd_fundamental(args):
-    g = _load_group(args.group)
+    g = args.group
     coords = args.point
     if coords.size != g.dim:
         raise SteptwoError(
@@ -297,7 +298,19 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first ``run`` and reused after it.
+
+    Parsing leaves it unchanged, so in-process calls stay independent.
+    """
+    # parent parsers: each shared option is declared once
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "--group", required=True, help="preset:NAME or a JSON file {n, r, B}"
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report to this file, not stdout")
     parser = argparse.ArgumentParser(
         prog="steptwo",
         description=(
@@ -309,84 +322,71 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group", help="validate and print a group definition")
-    p.add_argument("--group", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_group)
+    def command(subparsers, name, fn, parents=(), **kw):
+        p = subparsers.add_parser(name, parents=parents, **kw)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("spectral", help="normal forms and degeneracy scans")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    pn = ssub.add_parser("normalize")
-    pn.add_argument("--group", required=True)
-    pn.add_argument(
+    def family(name, summary):
+        p = sub.add_parser(name, help=summary)
+        return p.add_subparsers(dest="subcommand", required=True)
+
+    command(sub, "group", cmd_group, [group, out],
+            help="validate and print a group definition")
+
+    spectral_sub = family("spectral", "normal forms and degeneracy scans")
+    p = command(spectral_sub, "normalize", cmd_spectral_normalize, [group, out])
+    p.add_argument(
         "--tau", type=_floats, required=True, help="comma-separated frequency"
     )
-    pn.add_argument("--tol", type=_tolerance, default=spectral.DEGENERACY_RTOL)
-    pn.add_argument("--out")
-    pn.set_defaults(fn=cmd_spectral_normalize)
-    ps = ssub.add_parser("scan")
-    ps.add_argument("--group", required=True)
-    ps.add_argument("--samples", type=_count, default=100)
-    ps.add_argument("--seed", type=_seed, default=0)
-    ps.add_argument("--tol", type=_tolerance, default=spectral.DEGENERACY_RTOL)
-    ps.add_argument("--out")
-    ps.set_defaults(fn=cmd_spectral_scan)
+    p.add_argument("--tol", type=_tolerance, default=spectral.DEGENERACY_RTOL)
+    p = command(spectral_sub, "scan", cmd_spectral_scan, [group, out])
+    p.add_argument("--samples", type=_count, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--tol", type=_tolerance, default=spectral.DEGENERACY_RTOL)
 
-    p = sub.add_parser("laguerre", help="Laguerre values and basis fields")
-    lsub = p.add_subparsers(dest="subcommand", required=True)
-    pe = lsub.add_parser("eval")
-    pe.add_argument("--k", type=int, required=True)
-    pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--sigma", type=_number, required=True)
-    pe.add_argument("--out")
-    pe.set_defaults(fn=cmd_laguerre_eval)
-    pf = lsub.add_parser("field")
-    pf.add_argument("--group", required=True)
-    pf.add_argument("--tau", type=_floats, required=True)
-    pf.add_argument(
+    laguerre_sub = family("laguerre", "Laguerre values and basis fields")
+    p = command(laguerre_sub, "eval", cmd_laguerre_eval, [out])
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--sigma", type=_number, required=True)
+    p = command(laguerre_sub, "field", cmd_laguerre_field, [group])
+    p.add_argument("--tau", type=_floats, required=True)
+    p.add_argument(
         "--k", type=_ints, required=True, help="comma-separated radial indices"
     )
-    pf.add_argument(
+    p.add_argument(
         "--p", type=_ints, required=True, help="comma-separated angular indices"
     )
-    pf.add_argument(
+    p.add_argument(
         "--grid", type=_grid_axis, default="6,64", help="radius,count per axis"
     )
-    pf.add_argument("--out", required=True, help="CSV output path")
-    pf.set_defaults(fn=cmd_laguerre_field)
+    p.add_argument("--out", required=True, help="CSV output path")
 
-    p = sub.add_parser(
-        "convolve",
+    p = command(
+        sub, "convolve", cmd_convolve, [group],
         help="group convolution (no --tau: direct|fourier) or twisted "
         "convolution at --tau (direct|tensor)",
     )
     p.add_argument("--a", required=True, help="field container path")
     p.add_argument("--b", required=True, help="field container path")
-    p.add_argument("--group", required=True)
     p.add_argument("--path", choices=["direct", "fourier", "tensor"], default="direct")
     p.add_argument("--tau", type=_floats)
     p.add_argument("--K", type=_count, default=8, help="truncation for --path tensor")
     p.add_argument("--out", help="binary field output")
     p.add_argument("--csv", help="CSV output")
-    p.set_defaults(fn=cmd_convolve)
 
-    p = sub.add_parser("tensor", help="Laguerre tensors of sampled fields")
-    tsub = p.add_subparsers(dest="subcommand", required=True)
-    tf = tsub.add_parser("of-field")
-    tf.add_argument("--field", required=True)
-    tf.add_argument("--group", required=True)
-    tf.add_argument("--tau", type=_floats, required=True)
-    tf.add_argument("--K", type=_count, default=8)
-    tf.add_argument("--out")
-    tf.set_defaults(fn=cmd_tensor_of_field)
-    tm = tsub.add_parser("multiply")
-    tm.add_argument("--a", required=True, help="tensor JSON path")
-    tm.add_argument("--b", required=True, help="tensor JSON path")
-    tm.add_argument("--out")
-    tm.set_defaults(fn=cmd_tensor_multiply)
+    tensor_sub = family("tensor", "Laguerre tensors of sampled fields")
+    p = command(tensor_sub, "of-field", cmd_tensor_of_field, [group, out])
+    p.add_argument("--field", required=True)
+    p.add_argument("--tau", type=_floats, required=True)
+    p.add_argument("--K", type=_count, default=8)
+    p = command(tensor_sub, "multiply", cmd_tensor_multiply, [out])
+    p.add_argument("--a", required=True, help="tensor JSON path")
+    p.add_argument("--b", required=True, help="tensor JSON path")
 
-    p = sub.add_parser("fundamental", help="fundamental solution values")
-    p.add_argument("--group", required=True)
+    p = command(sub, "fundamental", cmd_fundamental, [group, out],
+                help="fundamental solution values")
     p.add_argument(
         "--point",
         type=_floats,
@@ -401,10 +401,8 @@ def build_parser():
     )
     p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="relative agreement of two successive refinement passes")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_fundamental)
 
-    p = sub.add_parser("szego", help="Szego kernel matrix at a point")
+    p = command(sub, "szego", cmd_szego, [out], help="Szego kernel matrix at a point")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--y", type=_floats, required=True, help="4 comma-separated coordinates"
@@ -412,19 +410,13 @@ def build_parser():
     p.add_argument(
         "--s", type=_floats, required=True, help="3 comma-separated coordinates"
     )
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_szego)
 
-    p = sub.add_parser("selftest", help="run the invariant battery")
+    p = command(sub, "selftest", cmd_selftest, help="run the invariant battery")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument(
-        "--threads",
-        type=_count,
-        default=os.environ.get("STEPTWO_THREADS", "1"),
-        help="worker threads for the battery (env STEPTWO_THREADS)",
+        "--threads", type=_count, default=1, help="worker threads for the battery"
     )
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 
@@ -441,10 +433,11 @@ def _attach_negative_values(argv):
 
 
 def run(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_values(argv))
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
+        if hasattr(args, "group"):
+            args.group = _load_group(args.group)
         return args.fn(args)
     except SteptwoError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -453,6 +446,10 @@ def run(argv=None):
         raise
     except OSError as exc:
         print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GridError
-from .groups import checked_int, group_from_dict
+from .groups import checked_int, finite_array, group_from_dict
 from .spectral import _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum
 
 _MAGIC = b"S2FIELD\x00"
@@ -251,7 +251,7 @@ def partial_fourier(f, tau):
     result is a field over the first 2n axes.  Raises when some |tau_beta|
     exceeds the Nyquist limit pi/step of its axis.
     """
-    tau = np.asarray(tau, dtype=float).reshape(-1)
+    tau = finite_array(tau, "tau").reshape(-1)
     r = tau.size
     if r >= f.ndim:
         raise GridError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateTauError, DimensionError
+from .errors import DimensionError
 from .groups import checked_int, finite_array
 
 
@@ -193,8 +193,6 @@ def exp_laguerre(frame, idx, y):
             raise DimensionError(
                 f"index has {one.n} slots but the frame has {frame.n}"
             )
-    if frame.mu[-1] <= 0:
-        raise DegenerateTauError("exp_laguerre needs a non-degenerate frame")
     yt = frame.tau_coordinates(y)
     mu_unit = frame.mu_unit
     out = np.ones((len(indices),) + yt.shape[:-1], dtype=complex)

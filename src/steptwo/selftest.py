@@ -1,10 +1,10 @@
 """Deterministic self-test battery behind the CLI.
 
 Each check is a pure function of its seed returning (name, metric,
-threshold); the battery reports one line per check.  Checks may run on a
-thread pool, but results are collected in submission order and every
-reduction inside the checks is a fixed-order einsum/sum, so the report is
-byte-identical for any thread count.
+threshold); the battery reports one line per check.  Checks run on a
+thread pool of the requested size, results are collected in submission
+order and every reduction inside the checks is a fixed-order einsum/sum,
+so the report is byte-identical for any thread count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -278,11 +278,9 @@ def run_suite(name, seed=42, threads=1):
     if name not in SUITES:
         raise KeyError(f"unknown selftest suite {name!r}")
     checks = SUITES[name]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: c(seed), checks))
-    else:
-        results = [c(seed) for c in checks]
+    threads = groups.checked_int(threads, "threads", 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda c: c(seed), checks))
     lines = []
     all_ok = True
     for label, metric, threshold in results:

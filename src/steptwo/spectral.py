@@ -22,7 +22,9 @@ from .groups import _as_readonly
 # Eigenvalue magnitudes below DEGENERACY_RTOL * ||B_tau||_2 count as degenerate.
 DEGENERACY_RTOL = 1e-8
 
-# Residual bound the returned frames are checked against.
+# Residual bound the returned frames are checked against: absolute for
+# orthogonality, relative to mu_1 for the normal form, whose residual grows
+# like eps * mu_1 with |tau|.
 FRAME_TOL = 1e-10
 
 # Minimum squared overlap for continuation to accept an eigenspace match.
@@ -57,6 +59,13 @@ class TauFrame:
     mu: np.ndarray
     O: np.ndarray = field(repr=False)
     min_gap: float
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu)
+        if not (np.isfinite(mu).all() and (mu > 0).all()):
+            raise DegenerateTauError(
+                f"a tau-frame needs finite mu > 0, got mu={mu.tolist()}"
+            )
 
     @property
     def n(self):
@@ -223,7 +232,7 @@ def _assemble_frame(tau, M, mu, V, gap_tol):
         min_gap=_min_gap(mu, gap_tol),
     )
     resid, ortho = frame.residuals(M)
-    if max(resid, ortho) > FRAME_TOL:
+    if resid > FRAME_TOL * mu[0] or ortho > FRAME_TOL:
         raise DegenerateTauError(
             f"frame failed its checks: normal-form residual {resid:.3e}, "
             f"orthogonality residual {ortho:.3e}"
@@ -246,7 +255,8 @@ def normalize(group, tau, tol=DEGENERACY_RTOL):
     Returns
     -------
     TauFrame
-        With mu sorted descending and ||O^T B_tau O - J||_max <= 1e-10.
+        With mu sorted descending, ||O^T B_tau O - J||_max <= 1e-10 * mu_1
+        and ||O^T O - I||_max <= 1e-10.
     """
     tau = np.asarray(tau, dtype=float).reshape(-1)
     M, mu, V, gap_tol, _ = _checked_spectrum(group, tau, tol)

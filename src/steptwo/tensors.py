@@ -12,7 +12,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .errors import DegenerateTauError, DimensionError, GridError
+from .errors import DimensionError, GridError
 from .groups import checked_int
 from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
 
@@ -127,10 +127,8 @@ def _resolution_guard(frame, K, axes):
         )
 
 
-def _check_analysis(f, frame, K, name):
+def _check_analysis(f, frame, K):
     _side(frame, K)
-    if frame.mu[-1] <= 0:
-        raise DegenerateTauError(f"{name} needs a non-degenerate frame")
     if f.ndim != 2 * frame.n:
         raise GridError(
             f"field has {f.ndim} axes; expected {2 * frame.n} for this frame"
@@ -193,7 +191,7 @@ def laguerre_coefficients(f, frame, K):
     divided by their common squared norm (2/pi)^n prod_j mu_j; all
     addresses with entries <= K are retained.
     """
-    _check_analysis(f, frame, K, "laguerre_coefficients")
+    _check_analysis(f, frame, K)
     return _coefficients(f, frame, K, _slot_tables(frame, K, f.mesh()))
 
 
@@ -213,7 +211,7 @@ def twisted_product(f, g, frame, K):
     (when g is on the same grid) and the synthesis.
     """
     for h in (f, g):
-        _check_analysis(h, frame, K, "twisted_product")
+        _check_analysis(h, frame, K)
     shared = g.axes == f.axes
     if not shared:
         # g's own tables are built and dropped before f's: one set at a time
@@ -255,8 +253,6 @@ def sublap_symbol(frame, K):
     The reciprocal of this array is the symbol of the inverse.
     """
     _side(frame, K)
-    if frame.mu[-1] <= 0:
-        raise DegenerateTauError("sublap_symbol needs a non-degenerate frame")
     ladder = 2.0 * np.arange(1, K + 1) - 1.0
     # outer sum over slots: the first slot varies slowest, as in the addresses
     return sum(np.ix_(*(mu * ladder for mu in frame.mu))).reshape(-1)

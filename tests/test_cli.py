@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,6 +14,7 @@ from hypothesis import strategies as hs
 import steptwo as st
 from steptwo.cli import run
 from steptwo.fields import SampledField, lattice_points, symmetric_axis
+from steptwo.selftest import run_suite
 from conftest import kaplan_fundamental
 
 
@@ -52,6 +54,16 @@ def test_spectral_normalize(capsys):
     np.testing.assert_allclose(data["mu"], [1.0, 1.0], atol=1e-12)
     assert data["residual_normal_form"] < 1e-10
     assert data["residual_orthogonality"] < 1e-10
+
+
+def test_spectral_normalize_large_frequency(capsys):
+    code, out, err = run_cli(
+        ["spectral", "normalize", "--group", "preset:quaternionic-heisenberg",
+         "--tau", "1e6,0,0"],
+        capsys,
+    )
+    assert code == 0, err
+    assert json.loads(out)["mu"] == pytest.approx([1e6, 1e6], rel=1e-12)
 
 
 def test_spectral_normalize_degenerate_exit_code(capsys):
@@ -371,7 +383,7 @@ def test_tensor_subcommands(tmp_path, capsys):
     assert np.isfinite(entries).all()
 
 
-def test_usage_error_exit_code(monkeypatch):
+def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "steptwo.cli", "nonsense"],
         capture_output=True,
@@ -384,10 +396,10 @@ def test_usage_error_exit_code(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             run(["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,0", *extra])
         assert exc.value.code == 2
-    monkeypatch.setenv("STEPTWO_THREADS", "x")
-    with pytest.raises(SystemExit) as exc:
-        run(["selftest", "all"])
-    assert exc.value.code == 2
+    for threads in ("x", "0"):
+        with pytest.raises(SystemExit) as exc:
+            run(["selftest", "all", "--threads", threads])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -436,6 +448,8 @@ def test_usage_error_exit_code(monkeypatch):
         (["group", "--group", "FLOAT_DIMS"], "n must be an integer"),
         (["group", "--group", "SCALAR_B"], "B must be a list"),
         (["group", "--group", "NULL_B"], "B[0] must be finite real numbers"),
+        # a structure matrix of 284 PiB: refused at once, never allocated
+        (["group", "--group", "preset:heisenberg-99999999"], "out of memory"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
@@ -486,6 +500,44 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     assert paths.get(names, names) in err
 
 
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["laguerre", "eval", "--k", "1", "--p", "0", "--sigma", "0.5"]
+    assert run(argv) == 0
+    first = len(built)
+    assert run(argv) == 0
+    assert len(built) == first
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    # one shared parser serves every call: defaults, negative values and
+    # per-command options must not carry over from one call to the next
+    sequence = [
+        ["spectral", "scan", "--group", "preset:heisenberg-2", "--samples", "4",
+         "--seed", "5"],
+        ["spectral", "scan", "--group", "preset:heisenberg-2"],
+        ["fundamental", "--group", "preset:heisenberg-1", "--point", "-0.5,0.2,-1"],
+        ["fundamental", "--group", "preset:heisenberg-1", "--point", "0,0,1",
+         "--grid", "1,2"],
+        ["laguerre", "eval", "--k", "3", "--p", "2", "--sigma", "0.7"],
+    ]
+    for argv in sequence:
+        code, out, _ = run_cli(argv, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "steptwo.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert (code, out) == (0, fresh.stdout) and fresh.returncode == 0, argv
+
+
 def test_closed_stdout_ends_quietly():
     # 2000 scan rows overflow the pipe buffer, so the CLI is still writing
     # when the reader hangs up after the header line
@@ -516,6 +568,12 @@ def test_selftest_report_is_pinned():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == SELFTEST_ALL_SHA256
+
+
+def test_selftest_threads_must_be_a_positive_integer():
+    for threads in (0, -2, 2.0, True):
+        with pytest.raises(st.DimensionError, match="threads"):
+            run_suite("spectral", threads=threads)
 
 
 def test_selftest_smoke(capsys):

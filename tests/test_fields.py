@@ -185,6 +185,13 @@ class TestPartialFourier:
         with pytest.raises(st.GridError, match="Nyquist"):
             st.partial_fourier(f, [7.0])
 
+    @pytest.mark.parametrize("tau", [[float("nan")], ["a"]])
+    def test_frequency_must_be_finite(self, tau):
+        ax = symmetric_axis(2.0, 8)
+        f = SampledField.from_function((ax, ax), lambda p: 0.0 * p[..., 0] + 1.0)
+        with pytest.raises(st.DimensionError, match="tau must be finite"):
+            st.partial_fourier(f, tau)
+
 
 class TestTwistedConvolution:
     def test_zero_frequency_is_euclidean(self, h1, rng):

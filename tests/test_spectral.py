@@ -142,6 +142,26 @@ def test_complex_tau_coordinates(rng, quat):
         assert abs(np.sum(fr.mu * np.abs(z) ** 2) - y @ sqrt_abs @ y) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [3e5, 1e6, 1e9])
+def test_frames_at_large_frequency(quat, scale):
+    # the normal-form residual grows like eps * mu_1, so it is bounded
+    # relative to mu_1; orthogonality keeps its absolute bound
+    for g, unit in ((quat, [1.0, 0.0, 0.0]), (st.heisenberg(3), [1.0])):
+        tau = scale * np.array(unit)
+        for fr in (st.normalize(g, tau),
+                   st.continue_frame(st.normalize(g, unit), g, tau)):
+            np.testing.assert_allclose(fr.mu, scale, rtol=1e-12)
+            resid, ortho = fr.residuals(g.b_tau(tau))
+            assert resid <= 1e-10 * fr.mu[0] and ortho <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+def test_frame_needs_finite_positive_mu(h1, mu):
+    fr = st.normalize(h1, [1.0])
+    with pytest.raises(st.DegenerateTauError, match="finite mu > 0"):
+        st.TauFrame(tau=fr.tau, mu=np.array([mu]), O=fr.O, min_gap=fr.min_gap)
+
+
 def test_continue_frame_fixed_point(quat):
     fr = st.normalize(quat, [1.0, 0.0, 0.0])
     again = st.continue_frame(fr, quat, fr.tau)

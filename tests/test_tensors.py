@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -256,16 +255,13 @@ class TestTwistedProduct:
         good = offset_gaussians(rng, grid96)
         coarse = offset_gaussians(rng, (symmetric_axis(6.0, 24),) * 2)
         cube = offset_gaussians(rng, (symmetric_axis(6.0, 20),) * 3)
-        flat = dataclasses.replace(frame, mu=np.zeros(1))
 
         def error(call):
             with pytest.raises(st.SteptwoError) as info:
                 call()
-            text = str(info.value).replace("twisted_product", "laguerre_coefficients")
-            return type(info.value), text
+            return type(info.value), str(info.value)
 
-        for bad, fr, K in ((coarse, frame, 8), (cube, frame, 4), (good, flat, 4),
-                           (good, frame, 0)):
+        for bad, fr, K in ((coarse, frame, 8), (cube, frame, 4), (good, frame, 0)):
             want = error(lambda: st.laguerre_coefficients(bad, fr, K))
             assert error(lambda: st.twisted_product(bad, good, fr, K)) == want
             assert error(lambda: st.twisted_product(good, bad, fr, K)) == want
