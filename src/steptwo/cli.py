@@ -44,8 +44,7 @@ def _split(text, convert):
 
 def _symmetric_axis(text):
     radius, count = text.split(",")
-    count = int(count)
-    return fields.symmetric_axis(float(radius), count) if count >= 2 else None
+    return fields.symmetric_axis(float(radius), int(count))
 
 
 _floats = _checked(

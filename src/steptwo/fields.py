@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GridError
-from .groups import checked_int, finite_array, group_from_dict
+from .groups import checked_int, finite_array, group_from_dict, positive_number
 from .spectral import _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum
 
 _MAGIC = b"S2FIELD\x00"
@@ -72,7 +72,8 @@ def lattice_points(coords):
 
 def symmetric_axis(radius, count):
     """Axis covering about [-radius, radius) with the origin on the lattice."""
-    step = 2.0 * radius / count
+    count = checked_int(count, "axis count", 2)
+    step = 2.0 * positive_number(radius, "axis radius") / count
     return Axis(lo=-step * (count // 2), step=step, count=count)
 
 

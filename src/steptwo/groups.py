@@ -45,6 +45,15 @@ def checked_int(value, what, low=None, high=None):
     raise DimensionError(f"{what} must be an integer{span}, got {value!r}")
 
 
+def positive_number(value, what):
+    """``value`` as a float if it is one finite real number > 0, not a bool;
+    else a DimensionError naming ``what`` and the value."""
+    arr = np.asarray(value)
+    if arr.ndim or arr.dtype.kind not in "iuf" or not 0 < arr < np.inf:
+        raise DimensionError(f"{what} must be a finite number > 0, got {value!r}")
+    return float(arr)
+
+
 def _as_readonly(a):
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False

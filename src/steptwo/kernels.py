@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import eval_chebyu
 
 from .errors import DegenerateTauError, DimensionError, QuadratureError
-from .groups import checked_int, quaternionic_heisenberg
+from .groups import checked_int, finite_array, positive_number, quaternionic_heisenberg
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
 from .spectral import (
     _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum, _plane_energies,
@@ -77,7 +77,10 @@ def fs_integrand(group, tau, y, t):
     part for y != 0).  At tau = 0 both hyperbolic factors tend to 1: the
     same formula with mu = 0 and all of |y|^2 in one plane.
     """
-    tau, y, t = (np.asarray(v, dtype=float).reshape(-1) for v in (tau, y, t))
+    y, t = group.point(y, t)
+    tau = finite_array(tau, "tau").reshape(-1)
+    if tau.size != group.r:
+        raise DimensionError(f"tau must have length {group.r}, got {tau.size}")
     if np.any(tau):
         _, mu, V, _, _ = _checked_spectrum(group, tau, DEGENERACY_RTOL)
         a = _plane_energies(V, y)
@@ -202,6 +205,7 @@ def fundamental_solution(group, y, t, tol=1e-9):
     with linearly dependent structure matrices raise DegenerateTauError.
     """
     y, t = group.point(y, t)
+    tol = positive_number(tol, "tol")
     if not np.any(y):
         raise DimensionError(
             "fundamental_solution requires y != 0 (the y = 0 slice needs "
@@ -243,6 +247,7 @@ def horizontal_laplacian_residual(group, points, h=1e-2, tol=1e-9):
     solution to ``tol``; y must stay away from the origin by a safe
     multiple of the step.  Returns the max |residual| and the per-point values.
     """
+    h = positive_number(h, "step h")
     if len(points) == 0:
         raise DimensionError("the probe list is empty: pass at least one point")
 
@@ -322,7 +327,7 @@ def szego_data(k, tau):
     -tau_1 - i tau_2 below it and the corners i tau_0, -i tau_0.
     """
     k = checked_int(k, "level k", 1, MAX_LEVEL)
-    tau = np.asarray(tau, dtype=float).reshape(-1)
+    tau = finite_array(tau, "tau").reshape(-1)
     if tau.size != 3 or not np.any(tau):
         raise DimensionError("szego_data needs a nonzero tau in R^3")
     weights = np.full(k + 1, 2.0)

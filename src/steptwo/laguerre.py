@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionError
-from .groups import checked_int, finite_array
+from .groups import checked_int, finite_array, positive_number
 
 
 def laguerre_poly(k, p, sigma):
@@ -79,10 +79,7 @@ def _plane_blocks(indices, y, tau_mag):
     per call, the radial function once per distinct (k, |p|) and
     e^(i p theta) once per |p| >= 1, conjugated for negative p.
     """
-    tau = finite_array(tau_mag, "tau_mag")
-    if tau.ndim or not tau > 0:
-        raise DimensionError(f"tau_mag must be a real number > 0, got {tau_mag!r}")
-    tau_mag = float(tau)
+    tau_mag = positive_number(tau_mag, "tau_mag")
     y = finite_array(y, "points")
     if y.shape[-1:] != (2,):
         raise DimensionError(

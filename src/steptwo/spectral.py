@@ -268,60 +268,34 @@ def normalize(group, tau, tol=DEGENERACY_RTOL):
 def continue_frame(prev, group, tau_new, tol=DEGENERACY_RTOL):
     """Frame at tau_new chosen to vary continuously from an existing frame.
 
-    Each column pair of the previous frame is projected onto the matching
-    eigenspace at tau_new and re-orthonormalized, which fixes both the
-    pairing and the in-plane phase.  Raises AmbiguousMatchingError when no
-    eigenspace holds most of a projected column pair (an eigenvalue
-    crossing between the two frequencies).
+    mu is sorted descending at both frequencies, so column pair j of the
+    previous frame goes to the eigenspace (cluster of near-equal mu) that
+    holds position j at tau_new.  Each cluster's previous column pairs are
+    projected onto it and re-orthonormalized, which fixes the in-plane
+    phase.  Raises AmbiguousMatchingError when a column pair keeps less
+    than half its squared norm in its eigenspace, or its projection
+    degenerates: an eigenvalue crossing between the two frequencies.
     """
+    if prev.O.shape != (group.m, group.m):
+        raise DimensionError(
+            f"prev must be a full frame of the group's dimension {group.m}, "
+            f"got a frame of dimension {prev.O.shape[0]} with {prev.n} column pairs"
+        )
     tau_new = np.asarray(tau_new, dtype=float).reshape(-1)
     M, mu, V, gap_tol, _ = _checked_spectrum(group, tau_new, tol)
-    clusters = _cluster(mu, gap_tol)
-
-    n = prev.n
     v_prev = (prev.O[:, 1::2] + 1j * prev.O[:, 0::2]) / np.sqrt(2.0)
-
-    # dominant eigenspace per previous eigenvector
-    weights = np.empty((n, len(clusters)))
-    for c, cluster in enumerate(clusters):
-        cols = V[:, cluster]
-        weights[:, c] = np.linalg.norm(cols.conj().T @ v_prev, axis=0) ** 2
-    choice = np.argmax(weights, axis=1)
-    for j in range(n):
-        if weights[j, choice[j]] < _MATCH_THRESHOLD:
+    V_new, mu_new = np.empty_like(V), np.empty_like(mu)
+    for cluster in _cluster(mu, gap_tol):
+        cols, refs = V[:, cluster], v_prev[:, cluster]
+        overlap = np.linalg.norm(cols.conj().T @ refs, axis=0) ** 2
+        vecs = _orthonormal_projections(cols, refs)
+        if overlap.min() < _MATCH_THRESHOLD or any(v is None for v in vecs):
             raise AmbiguousMatchingError(
-                f"no dominant eigenspace for column pair {j}: best squared "
-                f"overlap {weights[j, choice[j]]:.3f} (eigenvalue crossing?)"
+                f"column pairs {cluster} have no dominant eigenspace at tau_new: "
+                f"least squared overlap {overlap.min():.3f} (eigenvalue crossing?)"
             )
-    for c, cluster in enumerate(clusters):
-        if np.count_nonzero(choice == c) != len(cluster):
-            raise AmbiguousMatchingError(
-                "eigenspace multiplicities changed between frequencies "
-                f"(cluster {c} matched {np.count_nonzero(choice == c)} of "
-                f"{len(cluster)} previous pairs)"
-            )
-
-    # project previous eigenvectors into their new eigenspaces, then
-    # orthonormalize in previous-column order for continuity
-    V_new = np.empty((2 * n, n), dtype=complex)
-    mu_new = np.empty(n)
-    for c, cluster in enumerate(clusters):
-        members = [j for j in range(n) if choice[j] == c]
-        vecs = _orthonormal_projections(V[:, cluster], v_prev[:, members])
-        for j, vec in zip(members, vecs):
-            if vec is None:
-                raise AmbiguousMatchingError(
-                    f"projected column pair {j} degenerated during "
-                    "re-orthonormalization"
-                )
-            V_new[:, j] = vec
-            mu_new[j] = np.mean(mu[cluster])
-
-    order = np.argsort(-mu_new, kind="stable")
-    if not np.array_equal(order, np.arange(n)):
-        raise AmbiguousMatchingError(
-            "matched eigenvalues are out of order (crossing between frames)"
-        )
+        V_new[:, cluster] = np.column_stack(vecs)
+        mu_new[cluster] = np.mean(mu[cluster])
     # no phase convention here: it would fight the continuity choice
     return _assemble_frame(tau_new, M, mu_new, V_new, gap_tol)
 

@@ -155,18 +155,13 @@ def _coefficients(f, frame, K, tables):
     pairs = entries.transpose(_slot_pairs(n))  # a view
     *first, last = tables
     # conj of <conj f, basis>: no conjugate copy of the tables
-    if not first:
-        # n = 1 keeps one einsum: the pinned selftest report and the H1
-        # outputs depend on its bits
-        pairs[...] = np.einsum("x,ijx->ij", conj_f, last)
-    else:
-        for m in np.ndindex(pairs.shape[:-2]):
-            row = conj_f
-            for j, table in enumerate(first):
-                row = row * table[m[2 * j], m[2 * j + 1]]
-            # numpy's pairwise sum: a sequential sum over the N points
-            # would lose about sqrt(N) ulps of the largest entry
-            pairs[m] = (row * last).sum(-1)
+    for m in np.ndindex(pairs.shape[:-2]):
+        row = conj_f
+        for j, table in enumerate(first):
+            row = row * table[m[2 * j], m[2 * j + 1]]
+        # numpy's pairwise sum: a sequential sum over the N points
+        # would lose about sqrt(N) ulps of the largest entry
+        pairs[m] = (row * last).sum(-1)
     side = K**n
     entries = entries.reshape(side, side).conj() * w
     return LaguerreTensor(frame=frame, K=K, entries=entries)

@@ -383,7 +383,7 @@ def test_tensor_subcommands(tmp_path, capsys):
     assert np.isfinite(entries).all()
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "steptwo.cli", "nonsense"],
         capture_output=True,
@@ -400,6 +400,14 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             run(["selftest", "all", "--threads", threads])
         assert exc.value.code == 2
+    # the axis count is checked by the library, with the option's message
+    for grid in ("3,0", "3,1"):
+        with pytest.raises(SystemExit) as exc:
+            run(["fundamental", "--group", "preset:heisenberg-1", "--point", "1,0,1",
+                 "--grid", grid])
+        assert exc.value.code == 2
+        assert (f"argument --grid: expected radius,count with radius > 0 and "
+                f"count >= 2, got '{grid}'") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

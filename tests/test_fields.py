@@ -56,6 +56,15 @@ class TestSampledField:
         assert symmetric_axis(6.0, 65).zero_index == 32
         with pytest.raises(st.GridError, match="origin"):
             Axis(lo=0.05, step=0.1, count=8).zero_index
+        # symmetric_axis checks its count and radius before it divides
+        for radius, count, names in (
+            (6.0, 0, "axis count"), (6.0, 1, "axis count"), (6.0, "a", "axis count"),
+            (0.0, 4, "axis radius"), (-1.0, 4, "axis radius"),
+            (np.nan, 4, "axis radius"), (np.inf, 4, "axis radius"),
+            ("a", 4, "axis radius"),
+        ):
+            with pytest.raises(st.DimensionError, match=names):
+                symmetric_axis(radius, count)
 
     def test_shape_mismatch(self):
         ax = symmetric_axis(1.0, 8)

@@ -312,6 +312,40 @@ class TestHarmonicity:
             st.horizontal_laplacian_residual(h1, [])
 
 
+_H1 = st.heisenberg(1)
+_PROBE = [_H1.point([1.0, 0.0], [0.5])]
+
+_BAD_NUMBERS = {
+    "integrand-y-nan": (
+        lambda: st.fs_integrand(_H1, [1.0], [np.nan, 0.0], [0.0]), "point coordinates"),
+    "integrand-y-length": (
+        lambda: st.fs_integrand(_H1, [1.0], [1.0, 0.0, 0.0], [0.0]), "horizontal length"),
+    "integrand-t-length": (
+        lambda: st.fs_integrand(_H1, [1.0], [1.0, 0.0], [0.0, 1.0]), "central length"),
+    "integrand-tau-length": (
+        lambda: st.fs_integrand(_H1, [0.0, 0.0], [1.0, 0.0], [0.0]), "tau must"),
+    "residual-h-zero": (
+        lambda: st.horizontal_laplacian_residual(_H1, _PROBE, h=0), "step h"),
+    "residual-h-text": (
+        lambda: st.horizontal_laplacian_residual(_H1, _PROBE, h="a"), "step h"),
+    **{
+        f"fundamental-tol-{tol}": (
+            lambda tol=tol: st.fundamental_solution(_H1, [1.0, 0.0], [0.5], tol=tol),
+            "tol must",
+        )
+        for tol in (np.nan, 0.0, -1.0, "a")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "call, names", list(_BAD_NUMBERS.values()), ids=list(_BAD_NUMBERS)
+)
+def test_bad_numbers_name_the_argument(call, names):
+    with pytest.raises(st.DimensionError, match=names):
+        call()
+
+
 class TestSzego:
     def test_constant_identity(self):
         assert SZEGO_CONSTANT == 16 * math.gamma(5) / (2 * np.pi) ** 5
@@ -350,6 +384,8 @@ class TestSzego:
             st.szego_data(0, [1.0, 0.0, 0.0])
         with pytest.raises(st.DimensionError):
             st.szego_data(1, [0.0, 0.0, 0.0])
+        with pytest.raises(st.DimensionError, match="tau"):
+            st.szego_data(1, [np.nan, 0.0, 0.0])
         with pytest.raises(st.DimensionError, match="y != 0"):
             st.szego_kernel(1, [0.0, 0, 0, 0], [1.0, 0, 0])
         for k in (0, -2, 1.5, 2.0, 512, 600):

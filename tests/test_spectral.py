@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import steptwo as st
+from steptwo.spectral import FRAME_TOL
 from conftest import random_skew_group
 
 
@@ -199,6 +200,49 @@ def test_continue_frame_matches_fresh_up_to_sign(rng):
         fresh = st.normalize(g, [tv])
         dots = np.abs(np.einsum("ij,ij->j", fr.O, fresh.O))
         np.testing.assert_allclose(dots, 1.0, atol=1e-10)
+
+
+def test_continue_frame_checks_the_dimension(h1):
+    # a frame of another dimension is refused before any column is read,
+    # also one with too many column pairs, which positions would cut short
+    h2 = st.heisenberg(2)
+    with pytest.raises(st.DimensionError, match="dimension 4.*dimension 2"):
+        st.continue_frame(st.normalize(h1, [1.0]), h2, [1.0])
+    with pytest.raises(st.DimensionError, match="dimension 2.*dimension 4"):
+        st.continue_frame(st.normalize(h2, [1.0]), h1, [1.0])
+    with pytest.raises(st.DimensionError, match="1 column pairs"):
+        st.continue_frame(st.normalize(h2, [1.0]).slot(0), h2, [1.0])
+
+
+def _complex_columns(frame):
+    return (frame.O[:, 1::2] + 1j * frame.O[:, 0::2]) / np.sqrt(2.0)
+
+
+def test_continuation_contract_on_random_groups(rng):
+    # short steps on random groups (n <= 4, r <= 3): a continuation that
+    # succeeds meets the frame bounds, and each column pair keeps a squared
+    # overlap >= 0.5 with the column pair it continues
+    done = 0
+    for _ in range(60):
+        g = random_skew_group(rng)
+        tau = rng.standard_normal(g.r)
+        fr = st.normalize(g, tau)
+        for _ in range(4):
+            step = rng.standard_normal(g.r)
+            tau = tau + 10 ** rng.uniform(-3, -1) * step / np.linalg.norm(step)
+            try:
+                nxt = st.continue_frame(fr, g, tau)
+            except st.AmbiguousMatchingError:
+                fr = st.normalize(g, tau)
+                continue
+            resid, ortho = nxt.residuals(g.b_tau(tau))
+            assert resid <= FRAME_TOL * nxt.mu[0] and ortho <= FRAME_TOL
+            overlap = np.abs(
+                np.einsum("ij,ij->j", _complex_columns(nxt).conj(), _complex_columns(fr))
+            ) ** 2
+            assert overlap.min() >= 0.5
+            fr, done = nxt, done + 1
+    assert done >= 200
 
 
 def _crossing_group():

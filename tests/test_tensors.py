@@ -270,22 +270,27 @@ class TestTwistedProduct:
 class TestSlotContraction:
     """Analysis and synthesis contract the slot tables one slot at a time."""
 
-    def test_coefficients_match_extended_precision(self, quat, rng):
+    def test_coefficients_match_extended_precision(self, quat, h1, rng):
         # the contraction of the same slot values in np.clongdouble, summed
         # pairwise: what is left is the float64 contraction's own error
-        fr = st.normalize(quat, [0.3, -0.5, 0.6])
-        K = 2
-        f = offset_gaussians(rng, (symmetric_axis(4.0, 20),) * 4)
-        S0, S1 = (t.astype(np.clongdouble) for t in _slot_tables(fr, K, f.mesh()))
-        conj_f = f.values.reshape(-1).conj().astype(np.clongdouble)
-        ref = np.empty((K,) * 4, dtype=np.clongdouble)
-        for p0 in range(K):
-            for k0 in range(K):
-                ref[p0, k0] = (conj_f * S0[p0, k0] * S1).sum(-1)
-        w = f.cell_volume / st.exp_laguerre_l2_norm_sq(fr)
-        ref = ref.conj().transpose(0, 2, 1, 3).reshape(K * K, K * K) * w
-        got = st.laguerre_coefficients(f, fr, K).entries
-        assert np.abs(got - ref).max() <= 3e-14 * np.abs(ref).max()
+        for g, tau, K, ax in ((quat, [0.3, -0.5, 0.6], 2, symmetric_axis(4.0, 20)),
+                              (h1, [1.0], 6, symmetric_axis(6.0, 64))):
+            fr = st.normalize(g, tau)
+            f = offset_gaussians(rng, (ax,) * g.m)
+            tables = [t.astype(np.clongdouble) for t in _slot_tables(fr, K, f.mesh())]
+            conj_f = f.values.reshape(-1).conj().astype(np.clongdouble)
+            if fr.n == 1:
+                ref = (conj_f * tables[0]).sum(-1)
+            else:
+                S0, S1 = tables
+                ref = np.empty((K,) * 4, dtype=np.clongdouble)
+                for p0 in range(K):
+                    for k0 in range(K):
+                        ref[p0, k0] = (conj_f * S0[p0, k0] * S1).sum(-1)
+                ref = ref.transpose(0, 2, 1, 3).reshape(K * K, K * K)
+            ref = ref.conj() * (f.cell_volume / st.exp_laguerre_l2_norm_sq(fr))
+            got = st.laguerre_coefficients(f, fr, K).entries
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), g
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM"
