@@ -210,12 +210,12 @@ def _load_tensor(path):
         try:
             data = json.load(fh)
             g = groups.group_from_dict(data["group"])
-            tau = np.asarray(data["tau"], dtype=float)
+            tau = groups.finite_array(data["tau"], "tau")
             entries = np.asarray(data["entries_re"]) + 1j * np.asarray(
                 data["entries_im"]
             )
             K = data["K"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, SteptwoError) as exc:
             raise SteptwoError(f"malformed tensor file {path!r}: {exc!r}") from exc
     fr = spectral.normalize(g, tau)
     return tensors.LaguerreTensor(frame=fr, K=K, entries=entries), g

@@ -29,14 +29,15 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.step)):
+        if not all(isinstance(v, (int, float, np.integer, np.floating))
+                   and not isinstance(v, bool) and math.isfinite(v)
+                   for v in (self.lo, self.step)) or self.step <= 0:
             raise GridError(
-                f"axis origin and step must be finite, got {self.lo}, {self.step}"
+                f"axis origin and step must be finite real numbers with step > 0, "
+                f"got {self.lo!r}, {self.step!r}"
             )
         if checked_int(self.count, "axis count") < 2:
             raise GridError(f"axis needs at least 2 points, got {self.count}")
-        if self.step <= 0:
-            raise GridError(f"axis step must be positive, got {self.step}")
 
     @property
     def hi(self):
@@ -93,12 +94,14 @@ class SampledField:
 
     def __post_init__(self):
         shape = tuple(a.count for a in self.axes)
-        if self.values.shape != shape:
+        try:
+            vals = np.asarray(self.values, dtype=complex)
+        except (TypeError, ValueError):  # text or ragged nesting
+            raise GridError(f"values must be numbers, got {self.values!r}") from None
+        if vals.shape != shape:
             raise GridError(
-                f"values of shape {self.values.shape} do not match grid "
-                f"shape {shape}"
+                f"values of shape {vals.shape} do not match grid shape {shape}"
             )
-        vals = np.asarray(self.values, dtype=complex)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -190,10 +193,10 @@ class SampledField:
             with open(path + ".json", "r", encoding="utf-8") as fh:
                 sidecar = json.load(fh)
             tau = sidecar.get("tau")
-            tau = None if tau is None else np.asarray(tau, dtype=float)
+            tau = None if tau is None else finite_array(tau, "tau")
         except FileNotFoundError:
             sidecar, tau = {}, None
-        except (ValueError, AttributeError) as exc:  # not JSON or not an object
+        except (ValueError, AttributeError, DimensionError) as exc:  # bad JSON or tau
             raise GridError(f"malformed field sidecar {path}.json: {exc}") from exc
         group = sidecar.get("group")
         group = None if group is None else group_from_dict(group)
@@ -308,7 +311,6 @@ def _twisted_engine(f, g, M):
     d = f.ndim
     if d % 2:
         raise GridError("twisted convolution needs an even number of axes")
-    M = np.asarray(M, dtype=float)
     P, Q = _isotropic_split(M)
     axes = f.axes
     q_counts = tuple(axes[j].count for j in Q)
@@ -371,7 +373,7 @@ def twisted_convolve(f, g, group, tau):
     ``convolve --path direct``.  tau = 0 reduces to the Euclidean
     convolution.  The result lives on the full shared grid.
     """
-    tau = np.asarray(tau, dtype=float).reshape(-1)
+    tau = finite_array(tau, "tau").reshape(-1)
     if f.ndim != group.m:
         raise GridError(
             f"fields must have {group.m} horizontal axes for this group, "
@@ -536,6 +538,7 @@ def abel_multiplier(mu, energies, R):
     (2/(1+R))^n at zero frequency.  Planes of equal mu_j enter only through
     their summed energy, so any eigenbasis of a repeated mu_j gives it.
     """
+    positive_number(R, "Abel parameter R")
     expo = -((1.0 - R) / (1.0 + R)) * energies / (4.0 * mu)
     return np.prod(2.0 / (1.0 + R) * np.exp(expo), axis=-1)
 
@@ -554,8 +557,8 @@ def abel_approx_identity(f, group, R):
     closed multiplier form on the Euclidean Fourier side.  As R -> 1- the
     output converges to f.  It works in blocks of y rows of a fixed size.
     """
-    if not 0.0 < R < 1.0:
-        raise DimensionError(f"Abel parameter must be in (0,1), got {R}")
+    if positive_number(R, "Abel parameter R") >= 1.0:
+        raise DimensionError(f"Abel parameter R must be in (0,1), got {R}")
     y_axes, t_axes = _group_axes(f, group)
     xi_freqs = [dual_axis_points(a) for a in y_axes]
     # half-offset central dual lattice: no node sits on the degenerate

@@ -116,8 +116,7 @@ class StepTwoGroup:
 
     def b_form(self, x, y):
         """The R^r-valued form B(x, y), one component per structure matrix."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = finite_array(x, "x"), finite_array(y, "y")
         return np.einsum("bkl,k,l->b", self.B, x, y)
 
     def multiply(self, a, b):
@@ -133,8 +132,7 @@ class StepTwoGroup:
 
     def dilate(self, lam, p):
         """Parabolic dilation (y, t) -> (lam y, lam^2 t), lam > 0."""
-        if lam <= 0:
-            raise DimensionError(f"dilation factor must be positive, got {lam}")
+        lam = positive_number(lam, "dilation factor")
         self._check_point(p)
         return self.point(lam * p.y, lam * lam * p.t)
 
@@ -301,7 +299,7 @@ def preset(name):
     """Look up a named group: "quaternionic-heisenberg" or "heisenberg-<N>"."""
     if name == "quaternionic-heisenberg":
         return quaternionic_heisenberg()
-    digits = re.fullmatch(r"heisenberg-([0-9]+)", name)
+    digits = isinstance(name, str) and re.fullmatch(r"heisenberg-([0-9]+)", name)
     if digits:
         return heisenberg(int(digits[1]))
     raise DimensionError(f"unknown group preset {name!r}")

@@ -108,11 +108,13 @@ def _refine(run_pass, tol, what):
     for level in range(1, _REFINEMENTS + 1):
         cur, nodes = run_pass(level)
         err = float(np.abs(cur - prev).max())
+        scale = max(float(np.abs(cur).max()), 1e-300)
         prev = cur
-        if err <= tol * max(float(np.abs(cur).max()), 1e-300):
+        if err <= tol * scale:
             return QuadResult(value=cur, est_error=err, nodes_used=nodes)
     raise QuadratureError(
-        f"{what} quadrature did not converge: last delta {err:.3e}"
+        f"{what} quadrature did not converge: relative delta {err / scale:.3e} "
+        f"against tol {tol:.1e}, last delta {err:.3e}"
     )
 
 
@@ -248,16 +250,18 @@ def horizontal_laplacian_residual(group, points, h=1e-2, tol=1e-9):
     multiple of the step.  Returns the max |residual| and the per-point values.
     """
     h = positive_number(h, "step h")
-    if len(points) == 0:
+    try:
+        probes = [group.point(*p) for p in points]  # a GroupPoint unpacks as (y, t)
+    except TypeError:  # not an iterable of (y, t) pairs
+        raise DimensionError(f"points must be (y, t) pairs, got {points!r}") from None
+    if not probes:
         raise DimensionError("the probe list is empty: pass at least one point")
 
     def psi(yy, tt):
         return complex(fundamental_solution(group, yy, tt, tol).value)
 
     residuals = []
-    for p in points:
-        yy = np.asarray(p.y, dtype=float)
-        tt = np.asarray(p.t, dtype=float)
+    for yy, tt in probes:
         if np.linalg.norm(yy) < 10 * h:
             raise DimensionError(
                 f"probe point with |y| = {np.linalg.norm(yy):.3g} is closer "
@@ -302,7 +306,8 @@ def null_vector(k, tau_hat):
     m = 0, the null vector is the last basis vector; only the rank-one
     projection is continuous across that pole, the vector's phase is not.
     """
-    tau_hat = np.asarray(tau_hat, dtype=float)
+    k = checked_int(k, "level k", 0)
+    tau_hat = finite_array(tau_hat, "tau_hat")
     a = 1.0 + tau_hat[..., 0]
     b = 1j * tau_hat[..., 1] - tau_hat[..., 2]
     m = np.maximum(a, np.abs(b))

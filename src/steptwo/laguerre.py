@@ -26,8 +26,8 @@ def laguerre_poly(k, p, sigma):
     Vectorized over sigma; raises where the value overflows.
     """
     k = checked_int(k, "Laguerre index k", 0)
-    if p < 0:
-        raise DimensionError(f"the Laguerre order p must be >= 0, got {p}")
+    if finite_array(p, "Laguerre order p").ndim or p < 0:
+        raise DimensionError(f"the Laguerre order p must be a number >= 0, got {p!r}")
     sigma = finite_array(sigma, "sigma")
     prev = np.ones_like(sigma)
     if k == 0:
@@ -180,11 +180,11 @@ def exp_laguerre(frame, idx, y):
     radial functions and phases are computed once for the whole list.
     """
     single = isinstance(idx, MultiIndexPair)
-    indices = [idx] if single else list(idx)
+    indices = [idx] if single or not np.iterable(idx) else list(idx)
     for one in indices:
         if not isinstance(one, MultiIndexPair):
             raise DimensionError(
-                f"exp_laguerre needs a MultiIndexPair or a list of them, got {one!r}"
+                f"idx must be a MultiIndexPair or a list of them, got {one!r}"
             )
         if one.n != frame.n:
             raise DimensionError(
@@ -228,6 +228,8 @@ def shift_apply(frame, which, idx):
         Shift coefficient and shifted address, or None when the field
         annihilates the element (so callers can prune).
     """
+    if not isinstance(which, (tuple, list)) or len(which) != 2:
+        raise DimensionError(f"which must be a pair (op, j), got {which!r}")
     op, j = which
     j = checked_int(j, "slot index", 0, idx.n - 1)
     mu = float(frame.mu[j])

@@ -13,6 +13,7 @@ import functools
 import numpy as np
 
 from .errors import DimensionError
+from .groups import finite_array
 
 
 @functools.lru_cache(maxsize=32)
@@ -68,7 +69,7 @@ def radial_nodes(count, scale=1.0):
     for f smooth with f = O(exp(-scale * rho)).  An array of scales gives
     one rule per entry: rho and w then have shape scale.shape + (count,).
     """
-    scale = np.asarray(scale, dtype=float)
+    scale = finite_array(scale, "radial decay scale")
     if np.any(scale <= 0):
         raise DimensionError(f"radial decay scale must be positive, got {scale}")
     a = (2.0 / scale)[..., None]
@@ -79,7 +80,6 @@ def radial_nodes(count, scale=1.0):
 
 def x_over_sinh(x):
     """x / sinh(x) for x >= 0, overflow-free, series below 1e-4."""
-    x = np.asarray(x, dtype=float)
     small = x < 1e-4
     xs = np.where(small, 1.0, x)
     e = np.exp(-xs)
@@ -89,7 +89,6 @@ def x_over_sinh(x):
 
 def x_coth(x):
     """x * coth(x) for x >= 0, overflow-free, series below 1e-4."""
-    x = np.asarray(x, dtype=float)
     small = x < 1e-4
     xs = np.where(small, 1.0, x)
     e = np.exp(-2.0 * xs)

@@ -278,6 +278,7 @@ def run_suite(name, seed=42, threads=1):
     if name not in SUITES:
         raise KeyError(f"unknown selftest suite {name!r}")
     checks = SUITES[name]
+    seed = groups.checked_int(seed, "seed", 0)
     threads = groups.checked_int(threads, "threads", 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda c: c(seed), checks))

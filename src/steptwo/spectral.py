@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousMatchingError, DegenerateTauError, DimensionError
-from .groups import _as_readonly
+from .groups import _as_readonly, checked_int, finite_array, positive_number
 
 # Eigenvalue magnitudes below DEGENERACY_RTOL * ||B_tau||_2 count as degenerate.
 DEGENERACY_RTOL = 1e-8
@@ -82,13 +82,14 @@ class TauFrame:
 
     def slot(self, j):
         """The one-slot frame of invariant plane j: its column pair and mu_j."""
+        j = checked_int(j, "slot index", 0, self.n - 1)
         mu = self.mu[j : j + 1]
         return TauFrame(self.tau, mu, self.O[:, 2 * j : 2 * j + 2], float(mu[0]))
 
     def tau_coordinates(self, y):
         """Coordinates of y in the frame basis; an isometry with matrix O^T."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1:] != self.O.shape[:1] or not np.isfinite(y).all():
+        y = finite_array(y, "points")
+        if y.shape[-1:] != self.O.shape[:1]:
             raise DimensionError(
                 f"points must be finite with last axis {len(self.O)}, "
                 f"got shape {y.shape}"
@@ -151,7 +152,8 @@ def _checked_spectrum(group, tau, tol, strict=True):
     cluster tolerance; and the mask of mu_j below it (all when B_tau = 0).
     With ``strict`` a zero tau, or the first tau with a set mask, raises.
     """
-    tau = np.asarray(tau, dtype=float)
+    tau = finite_array(tau, "tau")
+    tol = positive_number(tol, "tol")
     if strict and not np.all(np.any(tau, axis=-1)):
         raise DimensionError("the tau-frame requires tau != 0")
     M = group.b_tau(tau)
@@ -258,7 +260,7 @@ def normalize(group, tau, tol=DEGENERACY_RTOL):
         With mu sorted descending, ||O^T B_tau O - J||_max <= 1e-10 * mu_1
         and ||O^T O - I||_max <= 1e-10.
     """
-    tau = np.asarray(tau, dtype=float).reshape(-1)
+    tau = finite_array(tau, "tau").reshape(-1)
     M, mu, V, gap_tol, _ = _checked_spectrum(group, tau, tol)
     V = _deterministic_eigenbasis(mu, V, gap_tol)
     V = np.column_stack([_fix_phase(V[:, j]) for j in range(mu.size)])
@@ -281,7 +283,7 @@ def continue_frame(prev, group, tau_new, tol=DEGENERACY_RTOL):
             f"prev must be a full frame of the group's dimension {group.m}, "
             f"got a frame of dimension {prev.O.shape[0]} with {prev.n} column pairs"
         )
-    tau_new = np.asarray(tau_new, dtype=float).reshape(-1)
+    tau_new = finite_array(tau_new, "tau_new").reshape(-1)
     M, mu, V, gap_tol, _ = _checked_spectrum(group, tau_new, tol)
     v_prev = (prev.O[:, 1::2] + 1j * prev.O[:, 0::2]) / np.sqrt(2.0)
     V_new, mu_new = np.empty_like(V), np.empty_like(mu)
@@ -334,7 +336,7 @@ def degeneracy_scan(group, samples, tol=DEGENERACY_RTOL):
     tol * mu_1 (always when B_tau = 0): the degeneracy test of
     ``normalize``.
     """
-    taus = np.asarray(samples, dtype=float)
+    taus = np.atleast_1d(finite_array(samples, "samples"))
     taus = taus.reshape(len(taus), -1 if taus.size else group.r)
     _, mus, _, gap_tols, degenerate = _checked_spectrum(
         group, taus, tol, strict=False

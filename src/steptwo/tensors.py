@@ -13,7 +13,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import DimensionError, GridError
-from .groups import checked_int
+from .groups import checked_int, finite_array
 from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
 
 
@@ -192,7 +192,7 @@ def laguerre_coefficients(f, frame, K):
 
 def synthesize(T, y):
     """Evaluate the truncated expansion at points y of shape (..., 2n)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.atleast_1d(finite_array(y, "points"))
     return _expansion(T, _slot_tables(T.frame, T.K, y)).reshape(y.shape[:-1])
 
 

@@ -458,6 +458,8 @@ def test_usage_error_exit_code(capsys):
         (["group", "--group", "NULL_B"], "B[0] must be finite real numbers"),
         # a structure matrix of 284 PiB: refused at once, never allocated
         (["group", "--group", "preset:heisenberg-99999999"], "out of memory"),
+        (["tensor", "multiply", "--a", "NAN_TAU_TENSOR", "--b", "NAN_TAU_TENSOR"],
+         "NAN_TAU_TENSOR"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
@@ -470,9 +472,10 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"K": 2,')
     (tmp_path / "no_group.json").write_text('{"K": 2}')
     h1_dict = json.loads(st.heisenberg(1).to_json())
-    for K, side in ((0, 1), (2.5, 2)):
-        (tmp_path / f"k{K}.json").write_text(json.dumps({
-            "K": K, "tau": [1.0], "group": h1_dict,
+    for name, K, side, tau in (("k0", 0, 1, 1.0), ("k2.5", 2.5, 2, 1.0),
+                               ("nan_tau", 2, 2, np.nan)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "K": K, "tau": [tau], "group": h1_dict,
             "entries_re": np.eye(side).tolist(),
             "entries_im": np.zeros((side, side)).tolist(),
         }))
@@ -490,6 +493,7 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
         "NO_GROUP": str(tmp_path / "no_group.json"),
         "K0_TENSOR": str(tmp_path / "k0.json"),
         "K2.5_TENSOR": str(tmp_path / "k2.5.json"),
+        "NAN_TAU_TENSOR": str(tmp_path / "nan_tau.json"),
         "BAD_SIDECAR": str(bad_sidecar),
         "SIDECAR": str(bad_sidecar) + ".json",
         "DIR": str(tmp_path),

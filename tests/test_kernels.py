@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -447,6 +448,21 @@ class TestSzego:
         with pytest.raises(st.QuadratureError, match="last delta") as info:
             st.szego_kernel(1, [0.3, 0, 0, 0], [1.0, 0, 0])
         assert np.isfinite(float(str(info.value).rsplit(" ", 1)[-1]))
+
+    def test_failure_reports_relative_delta_and_tol(self):
+        y, s = np.array([0.3, 0, 0, 0]), np.array([1.0, 0, 0])
+        with pytest.raises(st.QuadratureError, match="did not converge") as info:
+            st.szego_kernel(1, y, s)
+        found = re.search(
+            r"relative delta (\S+) against tol (\S+), last delta (\S+)$",
+            str(info.value),
+        )
+        rel, tol, delta = map(float, found.groups())
+        assert tol == kernels._SZEGO_TOL and rel > tol and np.isfinite(delta)
+        # relative to the largest entry of the last pass
+        level = kernels._szego_level(1, kernels._REFINEMENTS)
+        last = np.abs(kernels._szego_pass(1, y, s, level)[0]).max()
+        assert rel == pytest.approx(delta / last, rel=2e-3)
 
     def test_levels_above_the_work_budget_refused(self, capsys):
         budget, work = kernels._SZEGO_WORK_BUDGET, kernels._szego_work
