@@ -257,6 +257,13 @@ def partial_fourier(f, tau):
     """
     tau = finite_array(tau, "tau").reshape(-1)
     r = tau.size
+    if r == 0:
+        raise DimensionError("tau must have at least one entry, got none")
+    if f.group is not None and r != f.group.r:
+        raise DimensionError(
+            f"tau must have one entry per central axis of the field's group "
+            f"(r = {f.group.r}), got {tau.tolist()}"
+        )
     if r >= f.ndim:
         raise GridError(
             f"field has {f.ndim} axes, cannot split off {r} central axes"

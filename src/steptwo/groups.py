@@ -22,8 +22,11 @@ from .errors import DimensionError, SkewSymmetryError
 SKEW_RTOL = 1e-12
 
 
-def finite_array(values, what):
-    """``values`` as a float array; DimensionError unless all are finite reals."""
+def finite_array(values, what, shape=None):
+    """``values`` as a float array; DimensionError unless all are finite reals
+    and, when ``shape`` is given, the array has that shape.  A leading ``...``
+    in ``shape`` stands for any leading axes: ``(..., 2)`` asks for a last
+    axis of length 2, ``(2,)`` for exactly two numbers."""
     try:
         arr = np.asarray(values)
         arr = arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None
@@ -31,6 +34,16 @@ def finite_array(values, what):
         arr = None
     if arr is None or not np.isfinite(arr).all():
         raise DimensionError(f"{what} must be finite real numbers, got {values!r}")
+    if shape is not None:
+        any_lead = shape[:1] == (...,)
+        tail = shape[1:] if any_lead else shape
+        lead = arr.ndim - len(tail)
+        if lead < 0 or (lead > 0 and not any_lead) or arr.shape[lead:] != tail:
+            text = str(tuple(shape)).replace("Ellipsis", "...")
+            raise DimensionError(
+                f"{what} must be finite real numbers of shape {text}, "
+                f"got shape {arr.shape}"
+            )
     return arr
 
 
@@ -48,7 +61,10 @@ def checked_int(value, what, low=None, high=None):
 def positive_number(value, what):
     """``value`` as a float if it is one finite real number > 0, not a bool;
     else a DimensionError naming ``what`` and the value."""
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
     if arr.ndim or arr.dtype.kind not in "iuf" or not 0 < arr < np.inf:
         raise DimensionError(f"{what} must be a finite number > 0, got {value!r}")
     return float(arr)
@@ -116,7 +132,7 @@ class StepTwoGroup:
 
     def b_form(self, x, y):
         """The R^r-valued form B(x, y), one component per structure matrix."""
-        x, y = finite_array(x, "x"), finite_array(y, "y")
+        x, y = finite_array(x, "x", (self.m,)), finite_array(y, "y", (self.m,))
         return np.einsum("bkl,k,l->b", self.B, x, y)
 
     def multiply(self, a, b):

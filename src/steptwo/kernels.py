@@ -307,7 +307,7 @@ def null_vector(k, tau_hat):
     projection is continuous across that pole, the vector's phase is not.
     """
     k = checked_int(k, "level k", 0)
-    tau_hat = finite_array(tau_hat, "tau_hat")
+    tau_hat = finite_array(tau_hat, "tau_hat", (..., 3))
     a = 1.0 + tau_hat[..., 0]
     b = 1j * tau_hat[..., 1] - tau_hat[..., 2]
     m = np.maximum(a, np.abs(b))

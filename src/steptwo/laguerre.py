@@ -72,34 +72,48 @@ def laguerre_l(k, p, sigma):
     return poly * _weight(k, p, sigma, _log_sigma(sigma))
 
 
+def _phase_powers(y, r2, top):
+    """e^(i q theta) at points y of shape (..., 2), with r2 = |y|^2, for
+    q = 0..top: powers of (y_0 + i y_1) / |y|, 1 at the origin.  Each
+    coordinate of that unit vector is one real division; no complex exp."""
+    phases = [1 + 0j]
+    if top:
+        unit = np.empty(y.shape)  # C order: (re, im) pairs read as complex
+        with np.errstate(invalid="ignore"):  # 0 / 0 at the origin
+            np.divide(y, np.sqrt(r2)[..., None], out=unit)
+        unit = unit.view(complex)[..., 0]
+        unit[r2 == 0] = 1.0
+        phases.append(unit)
+        for _ in range(top - 1):
+            phases.append(phases[-1] * unit)
+    return phases
+
+
 def _plane_blocks(indices, y, tau_mag):
     """The 2-d block of each (k, p) in ``indices`` at points y, shape (..., 2).
 
-    Yields one array per index.  The angle and log sigma are computed once
-    per call, the radial function once per distinct (k, |p|) and
-    e^(i p theta) once per |p| >= 1, conjugated for negative p.
+    Yields one array per index.  |y|^2 and log sigma are computed once per
+    call, the radial function once per distinct (k, |p|) and e^(i p theta)
+    once per |p| >= 1 by ``_phase_powers``, conjugated for negative p.
     """
     tau_mag = positive_number(tau_mag, "tau_mag")
-    y = finite_array(y, "points")
-    if y.shape[-1:] != (2,):
-        raise DimensionError(
-            f"points must have shape (..., 2) in the plane, got shape {y.shape}"
-        )
-    sigma = 2.0 * tau_mag * (y[..., 0] ** 2 + y[..., 1] ** 2)
-    theta = np.angle(y[..., 0] + 1j * y[..., 1])
+    y = finite_array(y, "points", (..., 2))
+    indices = [
+        (checked_int(k, "Laguerre index k", 0), checked_int(p, "angular index p"))
+        for k, p in indices
+    ]
+    r2 = y[..., 0] ** 2 + y[..., 1] ** 2
+    sigma = 2.0 * tau_mag * r2
+    phases = _phase_powers(y, r2, max((abs(p) for _, p in indices), default=0))
     log_sigma = None
-    radials, phases = {}, {0: 1 + 0j}
+    radials = {}
     for k, p in indices:
-        k = checked_int(k, "Laguerre index k", 0)
-        p = checked_int(p, "angular index p")
         q = abs(p)
         if (k, q) not in radials:
             poly = laguerre_poly(k, q, sigma)  # checks sigma
             if log_sigma is None:
                 log_sigma = _log_sigma(sigma)
             radials[k, q] = poly * _weight(k, q, sigma, log_sigma)
-        if q not in phases:
-            phases[q] = np.exp(1j * q * theta)
         phase = phases[q] if p >= 0 else phases[q].conj()
         # (sgn p)^p with sgn 0 = +1, so the factor is 1 unless p < 0 and odd
         sign = -1.0 if (p < 0 and p % 2 != 0) else 1.0

@@ -13,6 +13,7 @@ from math import comb
 import numpy as np
 
 from . import fields, groups, kernels, laguerre, spectral, tensors
+from .errors import DimensionError
 
 
 def _series_laguerre(kmax, p, sigma):
@@ -275,8 +276,10 @@ SUITES["all"] = (
 
 def run_suite(name, seed=42, threads=1):
     """Run a named battery; returns (report_text, all_passed)."""
-    if name not in SUITES:
-        raise KeyError(f"unknown selftest suite {name!r}")
+    if not isinstance(name, str) or name not in SUITES:
+        raise DimensionError(
+            f"unknown selftest suite {name!r}; the suites are {', '.join(SUITES)}"
+        )
     checks = SUITES[name]
     seed = groups.checked_int(seed, "seed", 0)
     threads = groups.checked_int(threads, "threads", 1)

@@ -88,13 +88,7 @@ class TauFrame:
 
     def tau_coordinates(self, y):
         """Coordinates of y in the frame basis; an isometry with matrix O^T."""
-        y = finite_array(y, "points")
-        if y.shape[-1:] != self.O.shape[:1]:
-            raise DimensionError(
-                f"points must be finite with last axis {len(self.O)}, "
-                f"got shape {y.shape}"
-            )
-        return y @ self.O
+        return finite_array(y, "points", (..., len(self.O))) @ self.O
 
     def complex_tau_coordinates(self, y):
         """Consecutive frame coordinates paired as z_j = y_{2j} + i y_{2j+1}."""
@@ -337,7 +331,7 @@ def degeneracy_scan(group, samples, tol=DEGENERACY_RTOL):
     ``normalize``.
     """
     taus = np.atleast_1d(finite_array(samples, "samples"))
-    taus = taus.reshape(len(taus), -1 if taus.size else group.r)
+    taus = taus.reshape(len(taus), -1) if len(taus) else taus.reshape(0, group.r)
     _, mus, _, gap_tols, degenerate = _checked_spectrum(
         group, taus, tol, strict=False
     )

@@ -8,6 +8,7 @@ ordinary (truncated) linear algebra.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from itertools import product as iproduct
 
 import numpy as np
@@ -96,6 +97,14 @@ def indicator_tensor(frame, K, p, k):
     return LaguerreTensor(frame=frame, K=K, entries=entries)
 
 
+# Complex numbers held by the slot tables of one chunk of points: a chunk
+# has at most _CHUNK_ELEMENTS // (n K^2) points, and at most two chunks'
+# tables are alive at once, so the layer's working memory is bounded by
+# this budget, not by the grid (its input and output fields aside).  An
+# H1 K = 6 grid of 64^2 points is one chunk.
+_CHUNK_ELEMENTS = 1 << 18
+
+
 def _slot_tables(frame, K, pts):
     """One K x K table of one-slot basis functions per slot, each of shape
     (K, K, npts): entry [p, k] of table j is slot j's block at address
@@ -111,6 +120,37 @@ def _slot_tables(frame, K, pts):
         exp_laguerre(frame.slot(j), addresses, flat).reshape(K, K, -1)
         for j in range(frame.n)
     ]
+
+
+def _chunks(count, frame, K):
+    """Slices of range(count), one per chunk of points."""
+    size = max(1, _CHUNK_ELEMENTS // (frame.n * K * K))
+    return [slice(a, min(a + size, count)) for a in range(0, count, size)]
+
+
+def _grid_points(axes):
+    """The points of the flat grid indices in a slice, in ``mesh()`` order,
+    read from the axes without forming the mesh."""
+    coords = [a.points() for a in axes]
+    shape = [a.count for a in axes]
+
+    def points(part):
+        index = np.unravel_index(np.arange(part.start, part.stop), shape)
+        return np.stack([c[i] for c, i in zip(coords, index)], axis=-1)
+
+    return points
+
+
+def _chunk_tables(frame, K, points, parts):
+    """(slice, slot tables) for each slice in ``parts``; ``points(part)``
+    gives its points.  A slice repeated back to back reuses its tables.
+    While the next chunk's tables are built, the consumer still holds the
+    last ones: two sets at most."""
+    built = None
+    for part in parts:
+        if built is None or built[0] != part:
+            built = part, _slot_tables(frame, K, points(part))
+        yield built
 
 
 def _resolution_guard(frame, K, axes):
@@ -142,19 +182,17 @@ def _slot_pairs(n):
     return [a for j in range(n) for a in (j, n + j)]
 
 
-def _coefficients(f, frame, K, tables):
-    """Coefficients of f against slot tables built on f's grid.
+def _pair_sums(conj_f, K, tables):
+    """Sums over one chunk's points of conj f times each basis function,
+    on the axes (p_1, ..., p_n, k_1, ..., k_n).
 
     conj f is weighted by the tables of slots 1..n-1, one address pair at
     a time, and summed against the last table: no K^(2n) x N table.
     """
-    n = frame.n
-    w = f.cell_volume / exp_laguerre_l2_norm_sq(frame)
-    conj_f = f.values.reshape(-1).conj()
-    entries = np.empty((K,) * (2 * n), dtype=complex)
-    pairs = entries.transpose(_slot_pairs(n))  # a view
+    n = len(tables)
+    sums = np.empty((K,) * (2 * n), dtype=complex)
+    pairs = sums.transpose(_slot_pairs(n))  # a view
     *first, last = tables
-    # conj of <conj f, basis>: no conjugate copy of the tables
     for m in np.ndindex(pairs.shape[:-2]):
         row = conj_f
         for j, table in enumerate(first):
@@ -162,9 +200,35 @@ def _coefficients(f, frame, K, tables):
         # numpy's pairwise sum: a sequential sum over the N points
         # would lose about sqrt(N) ulps of the largest entry
         pairs[m] = (row * last).sum(-1)
-    side = K**n
-    entries = entries.reshape(side, side).conj() * w
-    return LaguerreTensor(frame=frame, K=K, entries=entries)
+    return sums
+
+
+def _coefficients(fields, frame, K, chunks):
+    """Coefficient tensors of fields on one grid, from (slice, slot tables)
+    chunks that cover its points; each chunk's sums add to the entries."""
+    totals = [None] * len(fields)
+    for part, tables in chunks:
+        for i, f in enumerate(fields):
+            sums = _pair_sums(f.values.reshape(-1)[part].conj(), K, tables)
+            if totals[i] is None:
+                totals[i] = sums
+            else:
+                totals[i] += sums
+    w = fields[0].cell_volume / exp_laguerre_l2_norm_sq(frame)
+    side = K**frame.n
+    # conj of <conj f, basis>: no conjugate copy of the tables
+    return [
+        LaguerreTensor(frame=frame, K=K, entries=total.reshape(side, side).conj() * w)
+        for total in totals
+    ]
+
+
+def _analysis(fields, frame, K):
+    """Coefficient tensors of fields on the first one's grid, one chunk of
+    its points at a time."""
+    parts = _chunks(fields[0].values.size, frame, K)
+    chunks = _chunk_tables(frame, K, _grid_points(fields[0].axes), parts)
+    return _coefficients(fields, frame, K, chunks)
 
 
 def _expansion(T, tables):
@@ -179,6 +243,14 @@ def _expansion(T, tables):
     return values
 
 
+def _synthesis(T, chunks, count):
+    """Flat values of T at ``count`` points, one chunk of them at a time."""
+    out = np.empty(count, dtype=complex)
+    for part, tables in chunks:
+        out[part] = _expansion(T, tables)
+    return out
+
+
 def laguerre_coefficients(f, frame, K):
     """Analysis: project a sampled field onto the truncated Laguerre basis.
 
@@ -187,13 +259,16 @@ def laguerre_coefficients(f, frame, K):
     addresses with entries <= K are retained.
     """
     _check_analysis(f, frame, K)
-    return _coefficients(f, frame, K, _slot_tables(frame, K, f.mesh()))
+    return _analysis([f], frame, K)[0]
 
 
 def synthesize(T, y):
     """Evaluate the truncated expansion at points y of shape (..., 2n)."""
-    y = np.atleast_1d(finite_array(y, "points"))
-    return _expansion(T, _slot_tables(T.frame, T.K, y)).reshape(y.shape[:-1])
+    y = finite_array(y, "points", (..., 2 * T.n))
+    flat = y.reshape(-1, y.shape[-1])
+    parts = _chunks(len(flat), T.frame, T.K)
+    chunks = _chunk_tables(T.frame, T.K, lambda part: flat[part], parts)
+    return _synthesis(T, chunks, len(flat)).reshape(y.shape[:-1])
 
 
 def twisted_product(f, g, frame, K):
@@ -201,22 +276,25 @@ def twisted_product(f, g, frame, K):
 
     The truncated symbols of f and g are multiplied and the product is
     synthesized on f's grid: the same values as analysing both fields,
-    ``tensor_multiply`` and ``synthesize`` on ``f.mesh()``, from one set of
-    slot tables on f's grid shared by the analysis of f, the analysis of g
-    (when g is on the same grid) and the synthesis.
+    ``tensor_multiply`` and ``synthesize`` on ``f.mesh()``.  Analysis walks
+    f's grid one chunk of points at a time and synthesis walks it back, so
+    the chunk analysed last is synthesized from the same slot tables: a
+    grid of one chunk builds one set of tables, shared by the analysis of
+    f, the analysis of g (when g is on the same grid) and the synthesis.
     """
     for h in (f, g):
         _check_analysis(h, frame, K)
-    shared = g.axes == f.axes
-    if not shared:
-        # g's own tables are built and dropped before f's: one set at a time
-        G = _coefficients(g, frame, K, _slot_tables(frame, K, g.mesh()))
-    mesh = f.mesh()
-    tables = _slot_tables(frame, K, mesh)
-    F = _coefficients(f, frame, K, tables)
-    if shared:
-        G = _coefficients(g, frame, K, tables)
-    return _expansion(tensor_multiply(F, G), tables).reshape(mesh.shape[:-1])
+    count = f.values.size
+    parts = _chunks(count, frame, K)
+    chunks = _chunk_tables(frame, K, _grid_points(f.axes), parts + parts[::-1])
+    if g.axes == f.axes:
+        F, G = _coefficients([f, g], frame, K, islice(chunks, len(parts)))
+    else:
+        # g's tables are built and dropped before f's
+        [G] = _analysis([g], frame, K)
+        [F] = _coefficients([f], frame, K, islice(chunks, len(parts)))
+    values = _synthesis(tensor_multiply(F, G), chunks, count)
+    return values.reshape(f.values.shape)
 
 
 def tensor_multiply(A, B):
@@ -258,10 +336,16 @@ def apply_diagonal_symbol(T, diag):
 
     ``diag`` is in column-address order, as ``sublap_symbol`` returns it.
     """
-    diag = np.asarray(diag)
-    if diag.shape != (T.entries.shape[1],):
+    try:
+        arr = np.asarray(diag)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    # a symbol may be complex, so finite_array's reals-only rule does not fit
+    if arr.dtype.kind not in "iufc" or not np.isfinite(arr).all():
+        raise DimensionError(f"diagonal symbol must be finite numbers, got {diag!r}")
+    if arr.shape != (T.entries.shape[1],):
         raise DimensionError(
             f"diagonal symbol needs {T.entries.shape[1]} entries for K={T.K}, "
-            f"n={T.n}, got shape {diag.shape}"
+            f"n={T.n}, got shape {arr.shape}"
         )
-    return LaguerreTensor(frame=T.frame, K=T.K, entries=T.entries * diag[None, :])
+    return LaguerreTensor(frame=T.frame, K=T.K, entries=T.entries * arr[None, :])

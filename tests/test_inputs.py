@@ -4,7 +4,8 @@ Every real number, frequency or point goes through ``groups``'
 converters (``checked_int``, ``positive_number``, ``finite_array``), so
 text, None, a bool, NaN or an infinity is refused with a message naming
 the argument, never leaked as a TypeError or ValueError and never taken
-as a number.
+as a number.  ``finite_array`` also checks the shape a caller needs, so
+an empty list or a wrong last axis is refused the same way.
 """
 
 import math
@@ -28,6 +29,7 @@ _IDX = st.raw_index((0,), (0,))
 _AX = symmetric_axis(2.0, 4)
 _F2 = SampledField.from_function((_AX, _AX), lambda p: np.exp(-(p**2).sum(-1)))
 _F3 = SampledField.from_function((_AX,) * 3, lambda p: np.exp(-(p**2).sum(-1)))
+_F3_H1 = SampledField((_AX,) * 3, _F3.values, group=_H1)
 _TENSOR = st.identity_tensor(_FRAME, 2)
 _ORIGIN = _H1.origin()
 
@@ -51,13 +53,16 @@ _ENTRIES = {
     "laguerre_l.p": lambda v: st.laguerre_l(2, v, 0.5),
     "shift_apply.which": lambda v: st.shift_apply(_FRAME, v, _IDX),
     "synthesize.y": lambda v: st.synthesize(_TENSOR, v),
+    "apply_diagonal_symbol.diag": lambda v: st.apply_diagonal_symbol(_TENSOR, v),
     "identity_tensor.K": lambda v: st.identity_tensor(_FRAME, v),
     "StepTwoGroup.dilate": lambda v: _H1.dilate(v, _ORIGIN),
     "StepTwoGroup.point": lambda v: _H1.point(v, [0.0]),
+    "StepTwoGroup.b_form": lambda v: _H1.b_form(v, [1.0, 0.0]),
     "preset.name": lambda v: st.preset(v),
     "heisenberg.n": lambda v: st.heisenberg(v),
     "twisted_convolve.tau": lambda v: st.twisted_convolve(_F2, _F2, _H1, v),
     "partial_fourier.tau": lambda v: st.partial_fourier(_F3, v),
+    "partial_fourier.tau(group)": lambda v: st.partial_fourier(_F3_H1, v),
     "abel_approx_identity.R": lambda v: st.abel_approx_identity(_F3, _H1, v),
     "abel_multiplier.R": lambda v: st.abel_multiplier(_FRAME.mu, np.zeros(1), v),
     "Axis.lo": lambda v: Axis(v, 1.0, 4),
@@ -80,6 +85,7 @@ _ENTRIES = {
     "null_vector.k": lambda v: null_vector(v, [[1.0, 0.0, 0.0]]),
     "null_vector.tau_hat": lambda v: null_vector(1, v),
     "run_suite.seed": lambda v: run_suite("spectral", seed=v),
+    "run_suite.name": lambda v: run_suite(v),
 }
 
 # (entry, bad value, error class, what the message must name); each of
@@ -133,6 +139,20 @@ _BAD = [
     ("Axis.lo", "a", st.GridError, "origin and step must be finite"),
     ("Axis.lo", True, st.GridError, "origin and step must be finite"),
     ("Axis.step", True, st.GridError, "origin and step must be finite"),
+    # shapes: each of these leaked a ValueError, IndexError or KeyError, or
+    # was taken as valid, before the converters checked shapes
+    ("synthesize.y", [], st.DimensionError, r"points must .* shape \(\.\.\., 2\)"),
+    ("synthesize.y", [[0.5, 0.5, 0.5]], st.DimensionError, "points must"),
+    ("null_vector.tau_hat", [], st.DimensionError, "tau_hat must"),
+    ("StepTwoGroup.b_form", [], st.DimensionError, "x must"),
+    ("apply_diagonal_symbol.diag", ["a", "b"], st.DimensionError, "diagonal symbol must"),
+    ("run_suite.name", "nope", st.DimensionError, "unknown selftest suite .*spectral"),
+    ("run_suite.name", [1], st.DimensionError, "unknown selftest suite"),
+    ("partial_fourier.tau", [], st.DimensionError, "tau must have at least one"),
+    ("partial_fourier.tau(group)", [0.5, 0.5], st.DimensionError, "one entry per central"),
+    ("StepTwoGroup.dilate", [[0.5], [0.5, 0.5]], st.DimensionError, "dilation factor"),
+    ("normalize.tol", [[0.5], [0.5, 0.5]], st.DimensionError, "tol must"),
+    ("degeneracy_scan.samples", [[]], st.DimensionError, "tau must have length 1"),
 ]
 
 
@@ -195,5 +215,24 @@ _JUNK = hs.one_of(
 def test_fuzzed_arguments_are_clean(entry, junk):
     try:
         _ENTRIES[entry](junk)
+    except st.SteptwoError:
+        pass
+
+
+# shapes: empty lists, ragged nesting and a last axis of 5 or 7, which no
+# entry point's fixed shape allows
+_SHAPES = hs.one_of(
+    hs.sampled_from([[], [[]], [[0.5], [0.5, 0.5]]]),
+    hs.tuples(hs.integers(1, 2), hs.sampled_from([5, 7])).map(
+        lambda shape: np.full(shape, 0.5).tolist()
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(hs.sampled_from(sorted(_ENTRIES)), _SHAPES)
+def test_fuzzed_shapes_are_clean(entry, shape):
+    try:
+        _ENTRIES[entry](shape)
     except st.SteptwoError:
         pass

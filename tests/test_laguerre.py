@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import eval_genlaguerre
 
 import steptwo as st
+from steptwo.laguerre import _phase_powers
 from steptwo.tensors import _offset
 from conftest import exp_laguerre_scipy, laguerre_series_oracle, sublap_eigenvalue
 
@@ -134,6 +135,23 @@ class TestPlanarBasis:
         vals = st.exp_laguerre_2d(k, p, np.stack([X, Y], -1), tau)
         norm_sq = (np.abs(vals) ** 2).sum() * (xs[1] - xs[0]) ** 2
         assert norm_sq == pytest.approx(2 * tau / np.pi, abs=1e-8)
+
+    def test_phases_match_extended_precision(self, rng):
+        # powers of (y_0 + i y_1) / |y| against e^(i q theta) in
+        # np.clongdouble: the error grows at most linearly in q
+        y = np.concatenate([
+            rng.standard_normal((20000, 2)),
+            1e-5 * rng.standard_normal((2000, 2)),
+            [[0.0, 0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, -2.0], [3e-150, 4e-150]],
+        ])
+        r2 = y[:, 0] ** 2 + y[:, 1] ** 2
+        ext = y.astype(np.longdouble)
+        theta = np.arctan2(ext[:, 1], ext[:, 0])
+        phases = _phase_powers(y, r2, 10)
+        assert len(phases) == 11
+        for q, phase in enumerate(phases):
+            want = np.exp(1j * q * theta)
+            assert np.abs(phase - want).max() <= 4e-16 * q, q
 
     def test_origin_values(self):
         origin = np.zeros(2)

@@ -7,7 +7,7 @@ import pytest
 
 import steptwo as st
 from steptwo.fields import SampledField, lattice_points, symmetric_axis
-from steptwo.tensors import _offset, _slot_tables
+from steptwo.tensors import _chunks, _offset, _slot_tables
 from conftest import basis_stack_direct, random_skew_group
 
 
@@ -239,17 +239,27 @@ class TestTwistedProduct:
             assert np.array_equal(got, self.composed(f, g, fr, K))
 
     def test_builds_one_table_per_grid(self, cases, monkeypatch):
+        # analysis builds the tables of each chunk of f's grid and synthesis
+        # walks the chunks back from the last one, whose tables it reuses:
+        # 2 chunks - 1 sets, one set when the grid is one chunk; a g on
+        # another grid adds one set per chunk of its own grid
         calls = []
         basis = st.tensors.exp_laguerre
         monkeypatch.setattr(
             st.tensors, "exp_laguerre",
             lambda *a, **kw: calls.append(1) or basis(*a, **kw),
         )
-        for key, (f, g, fr, K) in cases.items():
-            tables = 2 if key.endswith("other-grid") else 1
-            calls.clear()
-            st.twisted_product(f, g, fr, K)
-            assert len(calls) == tables * fr.n
+        for budget in (st.tensors._CHUNK_ELEMENTS, 1 << 30):
+            monkeypatch.setattr(st.tensors, "_CHUNK_ELEMENTS", budget)
+            for key, (f, g, fr, K) in cases.items():
+                chunks = [len(_chunks(h.values.size, fr, K)) for h in (f, g)]
+                other = key.endswith("other-grid")
+                sets = 2 * chunks[0] - 1 + (chunks[1] if other else 0)
+                if budget == 1 << 30:  # one chunk per grid
+                    assert sets == 1 + other
+                calls.clear()
+                st.twisted_product(f, g, fr, K)
+                assert len(calls) == sets * fr.n
 
     def test_checks_both_fields_as_analysis_does(self, frame, grid96, rng):
         good = offset_gaussians(rng, grid96)
@@ -296,10 +306,12 @@ class TestSlotContraction:
         not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM"
     )
     def test_product_memory_stays_below_the_product_table(self):
-        # quaternionic K = 3 on 16^4: the K^(2n) x N product table alone is
-        # 85 MB; the two slot tables are 19 MB.  The peak is the child's
-        # VmHWM, read before and after the call.
+        # quaternionic K = 3: on 16^4 the K^(2n) x N product table alone is
+        # 85 MB and whole-grid slot tables 19 MB; on 24^4 they are 430 and
+        # 96 MB.  Chunked tables keep the growth of the child's VmHWM over
+        # the call flat in the grid size.
         script = """
+import sys
 import numpy as np
 import steptwo as st
 
@@ -308,7 +320,7 @@ def peak():
         return [int(l.split()[1]) for l in fh if l.startswith("VmHWM")][0] / 1024
 
 fr = st.normalize(st.quaternionic_heisenberg(), [0.3, -0.4, 0.5])
-ax = st.symmetric_axis(2.8, 16)
+ax = st.symmetric_axis(2.8, int(sys.argv[1]))
 f = st.SampledField.from_function((ax,) * 4, lambda p: np.exp(-np.sum(p**2, -1)) + 0j)
 g = st.SampledField.from_function(
     (ax,) * 4, lambda p: np.exp(-np.sum((p - 0.3) ** 2, -1)) + 0j)
@@ -316,11 +328,56 @@ before = peak()
 st.twisted_product(f, g, fr, 3)
 print(peak() - before)
 """
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
+        for count in (16, 24):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(count)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert float(proc.stdout) < 40.0, (count, proc.stdout)
+
+
+class TestChunks:
+    """Analysis and synthesis run one chunk of points at a time."""
+
+    @pytest.fixture
+    def cases(self, frame, quat, rng):
+        quat_grid = (symmetric_axis(2.4, 12),) * 4
+        h1_grid = (symmetric_axis(6.0, 64),) * 2
+        return (
+            (offset_gaussians(rng, quat_grid), offset_gaussians(rng, quat_grid),
+             st.normalize(quat, [0.3, -0.5, 0.8]), 2),
+            (offset_gaussians(rng, h1_grid), offset_gaussians(rng, h1_grid), frame, 6),
         )
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 60.0, proc.stdout
+
+    def test_chunks_move_only_the_analysis_sums(self, cases, rng, monkeypatch):
+        for f, g, fr, K in cases:
+            count = f.values.size
+            monkeypatch.setattr(st.tensors, "_CHUNK_ELEMENTS", count * fr.n * K * K)
+            assert len(_chunks(count, fr, K)) == 1
+            whole = st.laguerre_coefficients(f, fr, K)
+            mesh = f.mesh()
+            scattered = rng.uniform(-3.0, 3.0, (777, f.ndim))
+            values = st.synthesize(whole, mesh), st.synthesize(whole, scattered)
+            product = st.twisted_product(f, g, fr, K)
+            for chunks in (5, 2):
+                size = -(-count // chunks)  # points per chunk
+                monkeypatch.setattr(st.tensors, "_CHUNK_ELEMENTS", size * fr.n * K * K)
+                assert len(_chunks(count, fr, K)) == chunks
+                # chunk sums added in turn: a different summation order
+                T = st.laguerre_coefficients(f, fr, K)
+                peak = np.abs(whole.entries).max()
+                assert np.abs(T.entries - whole.entries).max() <= 1e-15 * peak
+                # synthesis is pointwise: bitwise at any chunking
+                assert np.array_equal(st.synthesize(whole, mesh), values[0])
+                assert np.array_equal(st.synthesize(whole, scattered), values[1])
+                got = st.twisted_product(f, g, fr, K)
+                assert np.abs(got - product).max() <= 1e-15 * np.abs(product).max()
+
+    def test_synthesis_of_no_points_is_empty(self, frame):
+        T = st.identity_tensor(frame, 3)
+        assert st.synthesize(T, np.zeros((0, 2))).shape == (0,)
+        assert st.synthesize(T, np.zeros((4, 0, 2))).shape == (4, 0)
 
 
 class TestMultiplicativity:
