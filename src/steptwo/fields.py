@@ -102,6 +102,8 @@ class SampledField:
             raise GridError(
                 f"values of shape {vals.shape} do not match grid shape {shape}"
             )
+        if not np.isfinite(vals).all():
+            raise GridError("field values must be finite, got NaN or inf samples")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -200,7 +202,10 @@ class SampledField:
             raise GridError(f"malformed field sidecar {path}.json: {exc}") from exc
         group = sidecar.get("group")
         group = None if group is None else group_from_dict(group)
-        return cls(axes=tuple(axes), values=values, group=group, tau=tau)
+        try:
+            return cls(axes=tuple(axes), values=values, group=group, tau=tau)
+        except GridError as exc:  # non-finite samples
+            raise GridError(f"{path}: {exc}") from None
 
     def to_csv(self, path):
         """One row per grid point: coordinates, then re, im."""
@@ -395,6 +400,20 @@ def twisted_convolve(f, g, group, tau):
 # ---------------------------------------------------------------------------
 
 
+def _row_blocks(row_ends, budget):
+    """Consecutive (lo, hi) row ranges of at most ``budget`` pairs each.
+
+    ``row_ends`` is the running pair count at the end of each row; a row
+    with more pairs than the budget is a block of its own.
+    """
+    lo = 0
+    while lo < len(row_ends):
+        done = row_ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(row_ends, done + budget, "right")))
+        yield lo, hi
+        lo = hi
+
+
 def group_convolve(phi, psi, group):
     """Group convolution by direct quadrature over the sampled lattice.
 
@@ -409,14 +428,22 @@ def group_convolve(phi, psi, group):
     the spectrum shifts the trigonometric interpolant of the convolution
     by -f, and entry i + zero_index - k of the inverse transform is its
     value at s_i - 2B(x, y), zero where that entry leaves [0, L).  L is
-    odd, so real data reads real.  Desk-scale only: O(N^2 c^r log c) for N
-    horizontal and c^r central grid points.
+    odd, so real data reads real, and the phase at the negative
+    frequencies is the reversed conjugate of the phase at the others.
+
+    The output rows y run in blocks of whole rows, each block's pairs
+    batched in one array of at most _CHUNK_ELEMENTS // 8 complex numbers
+    (one row may exceed it); a pair whose read window misses [0, L) on
+    some central axis contributes zero and is never formed, and each
+    row's pairs are added by one segment sum.  Desk-scale only:
+    O(N^2 c^r log c) for N horizontal and c^r central grid points.
     """
     _check_shared_grid(phi, psi)
     y_axes, t_axes = _group_axes(phi, group)
     y_counts = np.array([a.count for a in y_axes])
     y_zero = np.array([a.zero_index for a in y_axes])
     t_counts = tuple(a.count for a in t_axes)
+    t_zero = np.array([a.zero_index for a in t_axes])
     t_steps = np.array([a.step for a in t_axes])
     pad = tuple(2 * c - 1 for c in t_counts)
     central = tuple(range(1, 1 + group.r))
@@ -428,39 +455,63 @@ def group_convolve(phi, psi, group):
         np.fft.fftn(f.values.reshape((n_y,) + t_counts), s=pad, axes=central)
         for f in (phi, psi)
     )
-    freqs = [np.fft.fftfreq(L) for L in pad]
+    # frequencies 0 .. h of each axis; the other h are their negatives
+    freqs = [np.fft.fftfreq(L)[: L // 2 + 1] for L in pad]
     # convolution index of s_i - 2 lo before the twist: i + zero_index
     untwisted = [np.arange(a.count) + a.zero_index for a in t_axes]
-    chunk = max(1, _CHUNK_ELEMENTS // int(np.prod(pad)))
-    out = np.empty((n_y,) + t_counts, dtype=complex)
-    for row in range(n_y):
-        # lattice index of y - x and the central twist 2 B(x, y) / step per x
-        flat, inside = _difference_index(y_idx[row], y_idx, y_zero, y_counts)
-        xs = np.nonzero(inside)[0]
-        twist = (
-            2.0 * np.einsum("bkl,xk,l->xb", group.B, y_pts[xs], y_pts[row])
-            / t_steps
+    # B(x, .) per x: the twist of a pair is this row dotted with y
+    bx = np.einsum("bkl,xk->xbl", group.B, y_pts)
+    # in-window pairs per output row: the product of per-axis overlaps
+    per_axis = [
+        np.minimum(i + z, c - 1) - np.maximum(i + z - c + 1, 0) + 1
+        for i, z, c in zip(y_idx.T, y_zero, y_counts)
+    ]
+    row_ends = np.cumsum(np.prod(per_axis, axis=0))
+    budget = max(1, _CHUNK_ELEMENTS // 8 // math.prod(pad))
+    out = np.zeros((n_y,) + t_counts, dtype=complex)
+    for lo, hi in _row_blocks(row_ends, budget):
+        # lattice index of y - x for every in-window pair (row, x) of the block
+        flat, inside = _difference_index(
+            y_idx[lo:hi, None, :], y_idx[None, :, :], y_zero, y_counts
         )
+        rows, xs = np.nonzero(inside)
+        rows += lo
+        twist = 2.0 * np.sum(bx[xs] * y_pts[rows, None, :], axis=-1) / t_steps
         whole = np.rint(twist).astype(int)
-        frac = twist - whole
-        acc = np.zeros(t_counts, dtype=complex)
-        for lo in range(0, len(xs), chunk):
-            b = slice(lo, lo + chunk)
-            conv = phi_hat[xs[b]] * psi_hat[flat[xs[b]]]
-            for beta, ax in enumerate(central):
-                # one axis at a time: shift by -f, invert, read i + zero - k
-                shape = [1] * conv.ndim
-                shape[0], shape[ax] = -1, pad[beta]
-                phase = np.exp(-2j * np.pi * np.outer(frac[b, beta], freqs[beta]))
-                conv = np.fft.ifft(conv * phase.reshape(shape), axis=ax)
-                idx = untwisted[beta][None, :] - whole[b, beta, None]
-                inside = (idx >= 0) & (idx < pad[beta])
-                shape[ax] = t_counts[beta]
-                conv = np.take_along_axis(
-                    conv, np.clip(idx, 0, pad[beta] - 1).reshape(shape), axis=ax
-                ) * inside.reshape(shape)
-            acc += conv.sum(axis=0)
-        out[row] = acc * phi.cell_volume
+        # the read i + zero - k meets [0, L) for some i in [0, c) on every
+        # axis; x = 0 has no twist, so every row keeps at least that pair
+        live = np.all((whole < t_zero + t_counts) & (whole > t_zero - pad), axis=1)
+        rows, xs, whole = rows[live], xs[live], whole[live]
+        frac = twist[live] - whole
+        conv = np.take(phi_hat, xs, axis=0)
+        conv *= np.take(psi_hat, flat[rows - lo, xs], axis=0)
+        for beta, ax in enumerate(central):
+            # one axis at a time: shift by -f, invert, read i + zero - k
+            L, h, c = pad[beta], pad[beta] // 2, t_counts[beta]
+            phase = np.empty((len(xs), L), dtype=complex)
+            phase[:, : h + 1] = np.exp(
+                -2j * np.pi * np.outer(frac[:, beta], freqs[beta])
+            )
+            np.conjugate(phase[:, h:0:-1], out=phase[:, h + 1 :])
+            shape = [1] * conv.ndim
+            shape[0], shape[ax] = -1, L
+            conv *= phase.reshape(shape)
+            conv = np.fft.ifft(conv, axis=ax)
+            # read entry idx of this axis: one gather of rows of the axes after it
+            idx = untwisted[beta][None, :] - whole[:, beta, None]
+            keep = (idx >= 0) & (idx < L)
+            lead = math.prod(conv.shape[:ax])
+            at = np.arange(lead).reshape(len(xs), -1, 1) * L
+            at = at + np.clip(idx, 0, L - 1)[:, None, :]
+            out_shape = conv.shape[:ax] + (c,) + conv.shape[ax + 1 :]
+            conv = np.take(conv.reshape(lead * L, -1), at.reshape(-1), axis=0)
+            conv = conv.reshape(out_shape)
+            shape[ax] = c
+            conv *= keep.reshape(shape)
+        # the pairs run row by row: one segment sum per row
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[starts]] = np.add.reduceat(conv, starts, axis=0)
+    out *= phi.cell_volume
     return SampledField(
         axes=phi.axes, values=out.reshape(phi.values.shape), group=group
     )

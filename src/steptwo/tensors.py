@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, GridError
 from .groups import checked_int, finite_array
 from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
+from .spectral import _CHUNK_ELEMENTS
 
 
 def _side(frame, K):
@@ -97,14 +98,6 @@ def indicator_tensor(frame, K, p, k):
     return LaguerreTensor(frame=frame, K=K, entries=entries)
 
 
-# Complex numbers held by the slot tables of one chunk of points: a chunk
-# has at most _CHUNK_ELEMENTS // (n K^2) points, and at most two chunks'
-# tables are alive at once, so the layer's working memory is bounded by
-# this budget, not by the grid (its input and output fields aside).  An
-# H1 K = 6 grid of 64^2 points is one chunk.
-_CHUNK_ELEMENTS = 1 << 18
-
-
 def _slot_tables(frame, K, pts):
     """One K x K table of one-slot basis functions per slot, each of shape
     (K, K, npts): entry [p, k] of table j is slot j's block at address
@@ -123,7 +116,14 @@ def _slot_tables(frame, K, pts):
 
 
 def _chunks(count, frame, K):
-    """Slices of range(count), one per chunk of points."""
+    """Slices of range(count), one per chunk of points.
+
+    The slot tables of one chunk hold at most _CHUNK_ELEMENTS complex
+    numbers (n K^2 per point), and at most two chunks' tables are alive at
+    once, so the layer's working memory is bounded by this budget, not by
+    the grid (its input and output fields aside).  An H1 K = 6 grid of
+    64^2 points is one chunk.
+    """
     size = max(1, _CHUNK_ELEMENTS // (frame.n * K * K))
     return [slice(a, min(a + size, count)) for a in range(0, count, size)]
 

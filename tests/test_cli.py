@@ -460,6 +460,11 @@ def test_usage_error_exit_code(capsys):
         (["group", "--group", "preset:heisenberg-99999999"], "out of memory"),
         (["tensor", "multiply", "--a", "NAN_TAU_TENSOR", "--b", "NAN_TAU_TENSOR"],
          "NAN_TAU_TENSOR"),
+        # one NaN sample: both group convolution paths returned NaN output
+        (["convolve", "--a", "NAN_FIELD", "--b", "NAN_FIELD", "--group",
+          "preset:heisenberg-1", "--path", "direct", "--out", "OUT"], "NAN_FIELD"),
+        (["convolve", "--a", "NAN_FIELD", "--b", "NAN_FIELD", "--group",
+          "preset:heisenberg-1", "--path", "fourier", "--out", "OUT"], "finite"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
@@ -483,6 +488,12 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
     bad_sidecar = tmp_path / "f.field"
     SampledField(axes=(ax, ax), values=np.zeros((48, 48))).save(bad_sidecar)
     (tmp_path / "f.field.json").write_text("{")
+    ax8 = symmetric_axis(4.0, 8)
+    nan_field = tmp_path / "nan.field"
+    SampledField(axes=(ax8,) * 3, values=np.ones((8, 8, 8))).save(nan_field)
+    data = bytearray(nan_field.read_bytes())
+    data[-16:-8] = np.float64(np.nan).tobytes()  # the last sample's real part
+    nan_field.write_bytes(bytes(data))
     paths = {
         "NAN_GROUP": str(nan_group),
         "FLOAT_DIMS": str(tmp_path / "float_dims.json"),
@@ -495,6 +506,7 @@ def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
         "K2.5_TENSOR": str(tmp_path / "k2.5.json"),
         "NAN_TAU_TENSOR": str(tmp_path / "nan_tau.json"),
         "BAD_SIDECAR": str(bad_sidecar),
+        "NAN_FIELD": str(nan_field),
         "SIDECAR": str(bad_sidecar) + ".json",
         "DIR": str(tmp_path),
         "MISSING_DIR": str(tmp_path / "missing" / "out.json"),

@@ -639,6 +639,95 @@ class TestGroupConvolution:
         assert np.abs(direct - recon).max() < 0.03 * np.abs(direct).max()
 
 
+class TestBatchedGroupConvolution:
+    """The row-block pipeline of group_convolve against the probe oracle."""
+
+    @staticmethod
+    def _fields(rng, axes, m):
+        # wide central profiles: the convolution is large at the window edge,
+        # where the read of a shifted pair is cut by the mask
+        def mixture():
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            o = 0.5 * rng.standard_normal((2, len(axes)))
+            return SampledField.from_function(
+                axes,
+                lambda p: sum(
+                    c[i]
+                    * np.exp(
+                        -0.8 * np.sum((p[..., :m] - o[i, :m]) ** 2, -1)
+                        - 0.05 * np.sum((p[..., m:] - o[i, m:]) ** 2, -1)
+                    )
+                    for i in range(2)
+                ),
+            )
+
+        return mixture(), mixture()
+
+    @staticmethod
+    def _check_probes(rng, phi, psi, group, full, probes=60):
+        shape = full.values.shape
+        idx = [tuple(rng.integers(0, c) for c in shape) for _ in range(probes)]
+        idx += [(0,) * len(shape), tuple(c - 1 for c in shape)]
+        pts = [a.points() for a in phi.axes]
+        m = group.m
+        points = [
+            group.point([pts[a][i[a]] for a in range(m)],
+                        [pts[a][i[a]] for a in range(m, len(shape))])
+            for i in idx
+        ]
+        oracle = group_convolve_at(phi, psi, group, points)
+        got = np.array([full.values[i] for i in idx])
+        peak = np.abs(full.values).max()
+        assert np.abs(got - oracle).max() <= 1e-13 * peak
+
+    def test_group_h1_grid(self, h1, rng):
+        ay, at = symmetric_axis(5.0, 16), symmetric_axis(8.0, 16)
+        phi, psi = self._fields(rng, (ay, ay, at), 2)
+        self._check_probes(rng, phi, psi, h1, st.group_convolve(phi, psi, h1))
+
+    def test_unequal_counts_and_off_centre_center(self, h1, rng):
+        # the central origin sits at index 3 of 12, so the mask cuts the
+        # reads of positive and negative twists at different depths
+        ax, ay = symmetric_axis(5.0, 16), symmetric_axis(4.0, 12)
+        step = 0.6
+        at = Axis(lo=-3 * step, step=step, count=12)
+        phi, psi = self._fields(rng, (ax, ay, at), 2)
+        self._check_probes(rng, phi, psi, h1, st.group_convolve(phi, psi, h1))
+
+    def test_two_dimensional_center(self, rng):
+        g = random_skew_group(rng, n=1, r=2)
+        ay, at = symmetric_axis(4.0, 12), symmetric_axis(6.0, 12)
+        phi, psi = self._fields(rng, (ay, ay, at, at), 2)
+        self._check_probes(rng, phi, psi, g, st.group_convolve(phi, psi, g))
+
+    def test_pairs_outside_the_window_in_one_row_blocks(self, h1, rng, monkeypatch):
+        # a central step this small twists most pairs clean out of the
+        # window (|2B(x, y)| / step > 2c means |k| >= 2c: the read misses
+        # [0, 2c - 1)); x = 0 is never twisted, so no block is ever empty
+        ay, at = symmetric_axis(4.0, 12), symmetric_axis(0.5, 8)
+        axes = (ay, ay, at)
+        y = lattice_points([ay.points()] * 2)
+        diff = y[:, None, :] - y[None, :, :]  # (output y, x) pairs
+        inside = np.all((diff > ay.lo - 1e-9) & (diff < ay.hi + 1e-9), -1)
+        twist = 2.0 * np.einsum("kl,xk,yl->yx", h1.B[0], y, y)
+        missed = (np.abs(twist) > 2 * at.count * at.step)[inside]
+        assert missed.mean() > 0.8
+        monkeypatch.setattr(st.fields, "_CHUNK_ELEMENTS", 1)
+        phi, psi = self._fields(rng, axes, 2)
+        self._check_probes(rng, phi, psi, h1, st.group_convolve(phi, psi, h1))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch, r):
+        g = st.heisenberg(1) if r == 1 else random_skew_group(rng, n=1, r=2)
+        count = 16 if r == 1 else 12
+        ay, at = symmetric_axis(5.0, count), symmetric_axis(8.0, count)
+        phi, psi = self._fields(rng, (ay, ay) + (at,) * r, 2)
+        default = st.group_convolve(phi, psi, g).values
+        monkeypatch.setattr(st.fields, "_CHUNK_ELEMENTS", 1)
+        one_row = st.group_convolve(phi, psi, g).values
+        assert one_row.tobytes() == default.tobytes()
+
+
 class TestAbel:
     def test_multiplier_at_zero_frequency(self, h1, quat):
         for g, R in ((h1, 0.5), (quat, 0.9)):

@@ -9,6 +9,7 @@ an empty list or a wrong last axis is refused the same way.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,12 @@ _BAD = [
     ("StepTwoGroup.dilate", [[0.5], [0.5, 0.5]], st.DimensionError, "dilation factor"),
     ("normalize.tol", [[0.5], [0.5, 0.5]], st.DimensionError, "tol must"),
     ("degeneracy_scan.samples", [[]], st.DimensionError, "tau must have length 1"),
+    # non-finite samples: the convolutions returned NaN output for them
+    ("SampledField.values", [[1.0, np.nan, 1.0, 1.0]] + [[1.0] * 4] * 3, st.GridError,
+     "values must be finite"),
+    ("SampledField.values", [[np.inf] * 4] * 4, st.GridError, "values must be finite"),
+    ("SampledField.values", [[complex(0, -np.inf)] * 4] * 4, st.GridError,
+     "values must be finite"),
 ]
 
 
@@ -164,6 +171,17 @@ _BAD = [
 def test_bad_input_names_the_argument(entry, value, error, names):
     with pytest.raises(error, match=names):
         _ENTRIES[entry](value)
+
+
+def test_field_file_with_a_nan_sample_names_the_file(tmp_path):
+    path = tmp_path / "nan.field"
+    _F2.save(path)
+    data = bytearray(path.read_bytes())
+    # the first sample's real part: after the 16-byte head and two axes
+    data[16 + 24 * 2 : 16 + 24 * 2 + 8] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(st.GridError, match=re.escape(f"{path}: field values must be")):
+        SampledField.load(path)
 
 
 def test_valid_input_still_works():
