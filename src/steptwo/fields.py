@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, GridError
 from .groups import checked_int, finite_array, group_from_dict, positive_number
-from .spectral import _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum
+from .spectral import DEGENERACY_RTOL, _blocks, _checked_spectrum
 
 _MAGIC = b"S2FIELD\x00"
 
@@ -315,7 +315,7 @@ def _twisted_engine(f, g, M):
     sum over x_Q is a linear convolution of f with g modulated by
     exp(-2i y_P.M_PQ x_Q), done by FFT, and the sum over x_P is a phase
     contraction.  This is the same sum, O(N^(2|P|+|Q|) log N) instead of
-    O(N^(2d)); output rows are chunked to a fixed element budget.  numpy's
+    O(N^(2d)); output rows run in blocks (``spectral._blocks``).  numpy's
     FFT is single-threaded and the contraction goes through einsum, so the
     result does not depend on BLAS threading.
     """
@@ -355,9 +355,7 @@ def _twisted_engine(f, g, M):
     gw = split(g.values) * f.cell_volume
     phase_qp = np.exp(-1j * (x_q @ twoM[np.ix_(Q, P)]) @ x_p.T)
     out = np.empty((len(x_p), len(x_q)), dtype=complex)
-    rows = max(1, _CHUNK_ELEMENTS // (len(x_p) * f_hat.shape[1]))
-    for lo_b in range(0, len(x_p), rows):
-        b = slice(lo_b, lo_b + rows)
+    for b in _blocks(len(x_p), len(x_p) * f_hat.shape[1]):
         mod = np.exp(-1j * (x_p[b] @ twoM[np.ix_(P, Q)]) @ x_q.T)
         g_hat = np.fft.fftn(
             gw * mod.reshape((-1, 1) + q_counts), s=pad, axes=fft_axes
@@ -400,20 +398,6 @@ def twisted_convolve(f, g, group, tau):
 # ---------------------------------------------------------------------------
 
 
-def _row_blocks(row_ends, budget):
-    """Consecutive (lo, hi) row ranges of at most ``budget`` pairs each.
-
-    ``row_ends`` is the running pair count at the end of each row; a row
-    with more pairs than the budget is a block of its own.
-    """
-    lo = 0
-    while lo < len(row_ends):
-        done = row_ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(row_ends, done + budget, "right")))
-        yield lo, hi
-        lo = hi
-
-
 def group_convolve(phi, psi, group):
     """Group convolution by direct quadrature over the sampled lattice.
 
@@ -432,11 +416,12 @@ def group_convolve(phi, psi, group):
     frequencies is the reversed conjugate of the phase at the others.
 
     The output rows y run in blocks of whole rows, each block's pairs
-    batched in one array of at most _CHUNK_ELEMENTS // 8 complex numbers
-    (one row may exceed it); a pair whose read window misses [0, L) on
-    some central axis contributes zero and is never formed, and each
-    row's pairs are added by one segment sum.  Desk-scale only:
-    O(N^2 c^r log c) for N horizontal and c^r central grid points.
+    batched in one array (``spectral._blocks``, each row costing 8 prod L
+    per in-window pair: README, "Block rule"); a pair whose read window
+    misses [0, L) on some central axis contributes zero and is never
+    formed, and each row's pairs are added by one segment sum.
+    Desk-scale only: O(N^2 c^r log c) for N horizontal and c^r central
+    grid points.
     """
     _check_shared_grid(phi, psi)
     y_axes, t_axes = _group_axes(phi, group)
@@ -466,16 +451,15 @@ def group_convolve(phi, psi, group):
         np.minimum(i + z, c - 1) - np.maximum(i + z - c + 1, 0) + 1
         for i, z, c in zip(y_idx.T, y_zero, y_counts)
     ]
-    row_ends = np.cumsum(np.prod(per_axis, axis=0))
-    budget = max(1, _CHUNK_ELEMENTS // 8 // math.prod(pad))
+    pairs = np.prod(per_axis, axis=0)
     out = np.zeros((n_y,) + t_counts, dtype=complex)
-    for lo, hi in _row_blocks(row_ends, budget):
+    for block in _blocks(n_y, 8 * math.prod(pad) * pairs):
         # lattice index of y - x for every in-window pair (row, x) of the block
         flat, inside = _difference_index(
-            y_idx[lo:hi, None, :], y_idx[None, :, :], y_zero, y_counts
+            y_idx[block, None, :], y_idx[None, :, :], y_zero, y_counts
         )
         rows, xs = np.nonzero(inside)
-        rows += lo
+        rows += block.start
         twist = 2.0 * np.sum(bx[xs] * y_pts[rows, None, :], axis=-1) / t_steps
         whole = np.rint(twist).astype(int)
         # the read i + zero - k meets [0, L) for some i in [0, c) on every
@@ -484,7 +468,7 @@ def group_convolve(phi, psi, group):
         rows, xs, whole = rows[live], xs[live], whole[live]
         frac = twist[live] - whole
         conv = np.take(phi_hat, xs, axis=0)
-        conv *= np.take(psi_hat, flat[rows - lo, xs], axis=0)
+        conv *= np.take(psi_hat, flat[rows - block.start, xs], axis=0)
         for beta, ax in enumerate(central):
             # one axis at a time: shift by -f, invert, read i + zero - k
             L, h, c = pad[beta], pad[beta] // 2, t_counts[beta]
@@ -630,9 +614,7 @@ def abel_approx_identity(f, group, R):
     _, mu, V, _, _ = _checked_spectrum(group, tau_pts, DEGENERACY_RTOL)
 
     partial = np.empty(f_hat.shape, dtype=complex)
-    rows = max(1, _CHUNK_ELEMENTS // len(xi_pts))
-    for lo in range(0, len(y_pts), rows):
-        b = slice(lo, lo + rows)
+    for b in _blocks(len(y_pts), len(xi_pts)):
         phase_yx = np.exp(1j * (y_pts[b] @ xi_pts.T))
         for q in range(len(tau_pts)):
             # the right factor's transform, read by the twist at xi + 2 M^T y

@@ -20,9 +20,7 @@ from scipy.special import eval_chebyu
 from .errors import DegenerateTauError, DimensionError, QuadratureError
 from .groups import checked_int, finite_array, positive_number, quaternionic_heisenberg
 from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
-from .spectral import (
-    _CHUNK_ELEMENTS, DEGENERACY_RTOL, _checked_spectrum, _plane_energies,
-)
+from .spectral import DEGENERACY_RTOL, _blocks, _checked_spectrum, _plane_energies
 
 # Refinement schedules.  Each kernel runs a first pass and at most
 # _REFINEMENTS finer ones, until two consecutive passes agree.  Pass i of
@@ -119,7 +117,8 @@ def _refine(run_pass, tol, what):
 
 
 def _fs_quadrature(group, y, t, radial, sphere_level):
-    """One pass of the radial x spherical quadrature at fixed resolution."""
+    """One pass of the radial x spherical quadrature at fixed resolution,
+    one block of sphere nodes at a time: no nodes x radial table."""
     n, r = group.n, group.r
     power = n + r - 1
     pts, wts = sphere_rule(r, sphere_level)
@@ -127,22 +126,19 @@ def _fs_quadrature(group, y, t, radial, sphere_level):
     a = _plane_energies(V, y)
     ts = pts @ t
 
-    # per-node radial rule, compactified against the node's decay rate
-    rho, rw = radial_nodes(radial, np.sum(mu, axis=1))
-
-    vals = np.empty(rho.shape, dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // (rho.shape[1] * n))
-    for lo in range(0, len(pts), chunk):
-        s = slice(lo, lo + chunk)
-        vals[s] = _spectral_integrand(
-            rho[s, :, None] * mu[s, None, :],
+    total = 0j
+    for s in _blocks(len(pts), radial * n):
+        # per-node radial rule, compactified against the node's decay rate
+        rho, rw = radial_nodes(radial, np.sum(mu[s], axis=1))
+        vals = _spectral_integrand(
+            rho[:, :, None] * mu[s, None, :],
             a[s, None, :],
-            rho[s] * ts[s, None],
+            rho * ts[s, None],
             power,
-            rho[s] ** (r - 1),
+            rho ** (r - 1),
         )
-    total = np.einsum("s,si,si->", wts, rw, vals)
-    return math.gamma(power) / np.pi**n * total, rho.size
+        total += np.einsum("s,si,si->", wts[s], rw, vals)
+    return math.gamma(power) / np.pi**n * total, len(pts) * radial
 
 
 def _htype_scale(group):
@@ -353,15 +349,14 @@ SZEGO_CONSTANT = 2**7 * 3 / (2.0 * np.pi) ** 5
 
 def _szego_pass(k, y, s, level):
     """One sphere pass: the weighted power at every node, then the
-    projections contracted chunk by chunk (einsum, not BLAS, so the sum
+    projections contracted block by block (einsum, not BLAS, so the sum
     order does not depend on the thread count)."""
     pts, wts = sphere_rule(3, level)
     w = wts * np.exp(-5.0 * np.log(y @ y - 1j * np.einsum("si,i->s", pts, s)))
     acc = np.zeros((k + 1, k + 1), dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // (k + 1))
-    for lo in range(0, len(pts), chunk):
-        e = null_vector(k, pts[lo : lo + chunk])
-        acc += np.einsum("s,si,sj->ij", w[lo : lo + chunk], e, e.conj())
+    for s in _blocks(len(pts), k + 1):
+        e = null_vector(k, pts[s])
+        acc += np.einsum("s,si,sj->ij", w[s], e, e.conj())
     return SZEGO_CONSTANT * acc, wts.size
 
 

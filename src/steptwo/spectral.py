@@ -30,10 +30,31 @@ FRAME_TOL = 1e-10
 # Minimum squared overlap for continuation to accept an eigenspace match.
 _MATCH_THRESHOLD = 0.5
 
-# Element budget of one chunk of every chunked loop (the FFT engine's
+# Element budget of one block of every blocked loop (the FFT engine's
 # per-row arrays, the sphere-node integrand temporaries): a few such arrays
-# are live at once, so working memory stays near a fixed size.
+# are live at once, so working memory stays near a fixed size.  Only
+# _blocks reads it.
 _CHUNK_ELEMENTS = 2**18
+
+
+def _blocks(count, cost):
+    """Consecutive slices of range(count) whose items cost at most
+    _CHUNK_ELEMENTS together; an item that costs more is a block of its own.
+
+    ``cost`` is one cost for every item or an array of one cost per item.
+    One cost needs no running total, so a long range builds no table.
+    """
+    ends = np.cumsum(cost) if np.ndim(cost) else None
+    lo = 0
+    while lo < count:
+        if ends is None:
+            hi = lo + _CHUNK_ELEMENTS // cost
+        else:
+            done = ends[lo - 1] if lo else 0
+            hi = int(np.searchsorted(ends, done + _CHUNK_ELEMENTS, "right"))
+        hi = min(max(lo + 1, hi), count)
+        yield slice(lo, hi)
+        lo = hi
 
 
 @dataclass(frozen=True)

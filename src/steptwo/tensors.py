@@ -16,12 +16,32 @@ import numpy as np
 from .errors import DimensionError, GridError
 from .groups import checked_int, finite_array
 from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
-from .spectral import _CHUNK_ELEMENTS
+from .spectral import _blocks
 
 
 def _side(frame, K):
     """K^n addresses per side; the truncation K must be an integer >= 1."""
     return checked_int(K, "truncation K", 1) ** frame.n
+
+
+def _checked_numbers(value, name, frame, K, ndim):
+    """``value`` as an array of finite numbers, complex allowed, of shape
+    (K^n,) * ndim; otherwise a DimensionError that names it."""
+    side = _side(frame, K)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    # entries and symbols may be complex, so finite_array's reals-only
+    # rule does not fit
+    if arr.dtype.kind not in "iufc" or not np.isfinite(arr).all():
+        raise DimensionError(f"{name} must be finite numbers, got {value!r}")
+    if arr.shape != (side,) * ndim:
+        size = "x".join([str(side)] * ndim)
+        raise DimensionError(
+            f"{name}: K={K}, n={frame.n} needs {size} entries, got shape {arr.shape}"
+        )
+    return arr
 
 
 def _offset(multi, K):
@@ -58,14 +78,10 @@ class LaguerreTensor:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        side = _side(self.frame, self.K)
-        if self.entries.shape != (side, side):
-            raise DimensionError(
-                f"entries must be {side}x{side} for K={self.K}, n={self.frame.n}"
-            )
-        if not np.all(np.isfinite(self.entries)):
-            raise DimensionError("tensor entries must be finite")
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.asarray(
+            _checked_numbers(self.entries, "tensor entries", self.frame, self.K, 2),
+            dtype=complex,
+        )
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -115,19 +131,6 @@ def _slot_tables(frame, K, pts):
     ]
 
 
-def _chunks(count, frame, K):
-    """Slices of range(count), one per chunk of points.
-
-    The slot tables of one chunk hold at most _CHUNK_ELEMENTS complex
-    numbers (n K^2 per point), and at most two chunks' tables are alive at
-    once, so the layer's working memory is bounded by this budget, not by
-    the grid (its input and output fields aside).  An H1 K = 6 grid of
-    64^2 points is one chunk.
-    """
-    size = max(1, _CHUNK_ELEMENTS // (frame.n * K * K))
-    return [slice(a, min(a + size, count)) for a in range(0, count, size)]
-
-
 def _grid_points(axes):
     """The points of the flat grid indices in a slice, in ``mesh()`` order,
     read from the axes without forming the mesh."""
@@ -145,7 +148,9 @@ def _chunk_tables(frame, K, points, parts):
     """(slice, slot tables) for each slice in ``parts``; ``points(part)``
     gives its points.  A slice repeated back to back reuses its tables.
     While the next chunk's tables are built, the consumer still holds the
-    last ones: two sets at most."""
+    last ones: two sets at most.  The callers cut ``parts`` with
+    ``spectral._blocks`` at n K^2 table entries per point, so the layer's
+    working memory is bounded by the budget, not by the grid."""
     built = None
     for part in parts:
         if built is None or built[0] != part:
@@ -226,7 +231,7 @@ def _coefficients(fields, frame, K, chunks):
 def _analysis(fields, frame, K):
     """Coefficient tensors of fields on the first one's grid, one chunk of
     its points at a time."""
-    parts = _chunks(fields[0].values.size, frame, K)
+    parts = _blocks(fields[0].values.size, frame.n * K * K)
     chunks = _chunk_tables(frame, K, _grid_points(fields[0].axes), parts)
     return _coefficients(fields, frame, K, chunks)
 
@@ -266,7 +271,7 @@ def synthesize(T, y):
     """Evaluate the truncated expansion at points y of shape (..., 2n)."""
     y = finite_array(y, "points", (..., 2 * T.n))
     flat = y.reshape(-1, y.shape[-1])
-    parts = _chunks(len(flat), T.frame, T.K)
+    parts = _blocks(len(flat), T.n * T.K * T.K)
     chunks = _chunk_tables(T.frame, T.K, lambda part: flat[part], parts)
     return _synthesis(T, chunks, len(flat)).reshape(y.shape[:-1])
 
@@ -285,7 +290,7 @@ def twisted_product(f, g, frame, K):
     for h in (f, g):
         _check_analysis(h, frame, K)
     count = f.values.size
-    parts = _chunks(count, frame, K)
+    parts = list(_blocks(count, frame.n * K * K))
     chunks = _chunk_tables(frame, K, _grid_points(f.axes), parts + parts[::-1])
     if g.axes == f.axes:
         F, G = _coefficients([f, g], frame, K, islice(chunks, len(parts)))
@@ -336,16 +341,5 @@ def apply_diagonal_symbol(T, diag):
 
     ``diag`` is in column-address order, as ``sublap_symbol`` returns it.
     """
-    try:
-        arr = np.asarray(diag)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    # a symbol may be complex, so finite_array's reals-only rule does not fit
-    if arr.dtype.kind not in "iufc" or not np.isfinite(arr).all():
-        raise DimensionError(f"diagonal symbol must be finite numbers, got {diag!r}")
-    if arr.shape != (T.entries.shape[1],):
-        raise DimensionError(
-            f"diagonal symbol needs {T.entries.shape[1]} entries for K={T.K}, "
-            f"n={T.n}, got shape {arr.shape}"
-        )
+    arr = _checked_numbers(diag, "diagonal symbol", T.frame, T.K, 1)
     return LaguerreTensor(frame=T.frame, K=T.K, entries=T.entries * arr[None, :])

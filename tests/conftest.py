@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln
 
 import steptwo as st
@@ -16,7 +17,7 @@ from steptwo.fields import (
     lattice_points,
 )
 from steptwo.kernels import SZEGO_CONSTANT, _fs_resolution, _refine
-from steptwo.quadrature import radial_nodes, sphere_rule
+from steptwo.quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
 from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 
@@ -343,6 +344,31 @@ def dense_fs_integrand(group, tau, y, t):
     base = float(y @ coth_mat @ y) + 1j * float(t @ tau)
     power = group.n + group.r - 1
     return det_factor * base ** (-power)
+
+
+def heat_tail_on_ray(group, lam, y, s0):
+    """Kernel side of the Laguerre identity for the inverse sub-Laplacian.
+
+    pi^(-n) int_{s0 |lam|}^inf prod_j x_over_sinh(rho nu_j) |lam|^(n-1)
+    rho^(-n) exp(-|lam| sum_j x_coth(rho nu_j) a_j / rho) d rho, with
+    nu = mu(lam / |lam|) and a the plane energies of y: the fundamental-
+    solution integrand on the ray lam / |lam|, which is the heat kernel's
+    partial Fourier transform at lam integrated over heat times s >= s0
+    (rho = s |lam|).  By scipy's adaptive quadrature, not the library's.
+    """
+    lam = np.asarray(lam, dtype=float)
+    mag = float(np.linalg.norm(lam))
+    _, nu, V, _, _ = _checked_spectrum(group, lam / mag, DEGENERACY_RTOL)
+    a = _plane_energies(V, np.asarray(y, dtype=float))
+    n = group.n
+
+    def integrand(rho):
+        x = rho * nu
+        decay = math.exp(-mag * float(x_coth(x) @ a) / rho)
+        return float(np.prod(x_over_sinh(x))) * mag ** (n - 1) * rho**-n * decay
+
+    value, _ = quad(integrand, s0 * mag, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return value / np.pi**n
 
 
 def null_vector_unscaled(k, tau_hat):

@@ -712,7 +712,7 @@ class TestBatchedGroupConvolution:
         twist = 2.0 * np.einsum("kl,xk,yl->yx", h1.B[0], y, y)
         missed = (np.abs(twist) > 2 * at.count * at.step)[inside]
         assert missed.mean() > 0.8
-        monkeypatch.setattr(st.fields, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", 1)
         phi, psi = self._fields(rng, axes, 2)
         self._check_probes(rng, phi, psi, h1, st.group_convolve(phi, psi, h1))
 
@@ -723,7 +723,7 @@ class TestBatchedGroupConvolution:
         ay, at = symmetric_axis(5.0, count), symmetric_axis(8.0, count)
         phi, psi = self._fields(rng, (ay, ay) + (at,) * r, 2)
         default = st.group_convolve(phi, psi, g).values
-        monkeypatch.setattr(st.fields, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", 1)
         one_row = st.group_convolve(phi, psi, g).values
         assert one_row.tobytes() == default.tobytes()
 

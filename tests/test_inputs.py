@@ -87,6 +87,7 @@ _ENTRIES = {
     "null_vector.tau_hat": lambda v: null_vector(1, v),
     "run_suite.seed": lambda v: run_suite("spectral", seed=v),
     "run_suite.name": lambda v: run_suite(v),
+    "LaguerreTensor.entries": lambda v: st.LaguerreTensor(_FRAME, 2, v),
 }
 
 # (entry, bad value, error class, what the message must name); each of
@@ -160,6 +161,17 @@ _BAD = [
     ("SampledField.values", [[np.inf] * 4] * 4, st.GridError, "values must be finite"),
     ("SampledField.values", [[complex(0, -np.inf)] * 4] * 4, st.GridError,
      "values must be finite"),
+    # tensor entries: text leaked an AttributeError, an array of text a
+    # TypeError from isfinite
+    ("LaguerreTensor.entries", "a", st.DimensionError, "tensor entries must"),
+    ("LaguerreTensor.entries", np.array([["a", "b"]]), st.DimensionError,
+     "tensor entries must be finite numbers"),
+    ("LaguerreTensor.entries", [[1.0, np.nan], [0.0, 1.0]], st.DimensionError,
+     "tensor entries must be finite"),
+    ("LaguerreTensor.entries", [[1.0, 2.0]], st.DimensionError,
+     r"tensor entries: K=2, n=1 needs 2x2 entries, got shape \(1, 2\)"),
+    ("LaguerreTensor.entries", [[True, False], [False, True]], st.DimensionError,
+     "tensor entries must"),
 ]
 
 
@@ -205,6 +217,12 @@ def test_valid_input_still_works():
     # an empty scan is an empty report, a scalar sample a one-row one
     assert st.degeneracy_scan(_H1, []).rows == ()
     assert len(st.degeneracy_scan(_H1, 2.0).rows) == 1
+    # a nested list is a tensor's entries, complex or not
+    for entries in ([[1, 2], [3, 4]], [[1.0, 2j], [3.0, 4.0]]):
+        listed = st.LaguerreTensor(_FRAME, 2, entries)
+        array = st.LaguerreTensor(_FRAME, 2, np.array(entries))
+        assert listed.entries.dtype == complex
+        assert listed.entries.tobytes() == array.entries.tobytes()
     # a list of numbers is a field's values
     field = SampledField((_AX, _AX), [[1.0] * 4] * 4)
     assert field.values.dtype == complex and not field.values.flags.writeable

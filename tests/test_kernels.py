@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import steptwo as st
 import steptwo.kernels as kernels
@@ -14,6 +18,7 @@ from steptwo.tensors import _offset
 from conftest import (
     abel_fundamental_solution,
     dense_fs_integrand,
+    heat_tail_on_ray,
     kaplan_fundamental,
     random_skew_group,
     szego_at_zero_central,
@@ -168,6 +173,50 @@ class TestFundamentalSolution:
         assert code == 1
         assert "linearly dependent" in capsys.readouterr().err
 
+    def test_sphere_blocks_move_the_value_by_roundoff_only(self, monkeypatch):
+        # a random r = 3 group takes the product rule; a budget of a few
+        # sphere nodes cuts each pass into hundreds of blocks, whose sums
+        # add in another order
+        group = random_skew_group(np.random.default_rng(31), n=2, r=3)
+        y, t = [0.6, -0.3, 0.2, 0.5], [0.1, 0.0, -0.2]
+        whole = st.fundamental_solution(group, y, t, tol=1e-3)
+        few_nodes = 5 * group.n * kernels._FS_RADIAL
+        monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", few_nodes)
+        blocked = st.fundamental_solution(group, y, t, tol=1e-3)
+        assert abs(blocked.value - whole.value) <= 1e-14 * abs(whole.value)
+        assert blocked.nodes_used == whole.nodes_used
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM"
+    )
+    def test_product_rule_memory_is_one_block_of_sphere_nodes(self):
+        # the last of four passes takes 4608 sphere nodes x 960 radial
+        # nodes: whole nodes x radial tables of the radial rule and the
+        # integrand grew the child's VmHWM by about 150 MB, blocks of nodes
+        # by about 20 MB.  A tol no pass pair meets runs all four passes.
+        script = """
+import numpy as np
+import steptwo as st
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return [int(l.split()[1]) for l in fh if l.startswith("VmHWM")][0] / 1024
+
+B = np.random.default_rng(11).standard_normal((3, 4, 4))
+group = st.make_group(2, 3, B - np.transpose(B, (0, 2, 1)))
+before = peak()
+try:
+    st.fundamental_solution(group, [0.6, -0.3, 0.2, 0.5], [0.1, 0.0, -0.2], tol=1e-300)
+except st.QuadratureError:
+    pass
+print(peak() - before)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 60.0, proc.stdout
+
 
 class TestHTypeFundamentalSolution:
     def test_scale_detection(self, quat, rng):
@@ -234,6 +283,80 @@ class TestHTypeFundamentalSolution:
             calls.clear()
             st.fundamental_solution(group, y, t)
             assert calls == passes
+
+
+class TestLaguerreLink:
+    """The paper's link between its two halves: the Laguerre series of the
+    inverse sub-Laplacian is the fundamental-solution integrand on the ray
+    of its frequency, and the Fourier step from that ray to the point
+    gives the power p = n + r - 1 and the factor Gamma(p)."""
+
+    def test_series_of_the_inverse_is_the_kernel_on_each_ray(self):
+        # cut at heat time s0 the series converges geometrically: its tail
+        # is about e^(-s0 mu_min (2K+1)) = e^(-36).  Both sides carry the
+        # factor e^(-s0 sum mu), which underflows where sum mu / mu_min is
+        # large; such a draw would need a larger K than the K^n x K^n
+        # identity tensor affords, so it is skipped, and at most a fifth
+        # may be (no draw of this seed is).
+        rng = np.random.default_rng(9)
+        cases = [
+            (st.heisenberg(1), 40),
+            (st.heisenberg(2), 30),
+            (st.quaternionic_heisenberg(), 30),
+        ]
+        for (n, r), K in (((2, 2), 30), ((2, 3), 30), ((2, 4), 30), ((3, 2), 10)):
+            cases += [(random_skew_group(rng, n, r), K) for _ in range(3)]
+        skipped = []
+        for group, K in cases:
+            lam = rng.standard_normal(group.r)
+            fr = st.normalize(group, lam)
+            # y in units of the frame's length 1/sqrt(mu_1): farther out the
+            # series' terms grow and cancel, and roundoff in the sum, not
+            # the identity, sets the difference
+            ys = rng.standard_normal((3, group.m)) / np.sqrt(fr.mu[0])
+            s0 = 36.0 / (fr.mu.min() * (2 * K + 1))
+            if s0 * fr.mu.sum() > 600.0:
+                skipped.append((group.n, group.r, fr.mu.tolist()))
+                continue
+            sigma = st.sublap_symbol(fr, K)
+            inverse = st.apply_diagonal_symbol(
+                st.identity_tensor(fr, K), np.exp(-s0 * sigma) / sigma
+            )
+            series = st.synthesize(inverse, ys)
+            kernel = np.array([heat_tail_on_ray(group, lam, y, s0) for y in ys])
+            assert np.all(np.abs(series - kernel) <= 1e-12 * np.abs(kernel)), (
+                group.n, group.r, series, kernel,
+            )
+        assert len(skipped) <= len(cases) // 5, skipped
+
+    def test_fourier_transform_of_the_power(self):
+        # int e^(i omega u) (Q + iu)^(-p) du = 2 pi omega^(p-1) e^(-Q omega)
+        # / Gamma(p) for omega > 0, Re Q > 0: the pole at u = iQ.  Numerically
+        # on [0, inf) against cos and sin (QUADPACK's QAWF), for the powers
+        # of H1, H2, the quaternionic group and random (n, r) in {(2, 2),
+        # (2, 3), (2, 4), (3, 2)}
+        rng = np.random.default_rng(17)
+        shapes = ((1, 1), (2, 1), (2, 3), (2, 2), (2, 4), (3, 2))
+        for p in sorted({n + r - 1 for n, r in shapes}):
+            for _ in range(3):
+                omega = rng.uniform(0.3, 3.0)
+                Q = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+
+                def power(u):
+                    return (Q + 1j * u) ** -p
+
+                got = 0j
+                for weight, phase, sym in (("cos", 1, 1), ("sin", 1j, -1)):
+                    for part, unit in ((np.real, 1), (np.imag, 1j)):
+                        value, _ = integrate.quad(
+                            lambda u: part(power(u) + sym * power(-u)),
+                            0.0, np.inf, weight=weight, wvar=omega,
+                            epsabs=1e-12, limlst=200, limit=200,
+                        )
+                        got += phase * unit * value
+                want = 2.0 * np.pi * omega ** (p - 1) / math.gamma(p)
+                want *= np.exp(-Q * omega)
+                assert abs(got - want) <= 1e-11 * abs(want), (p, omega, Q)
 
 
 def test_sublaplacian_frame_independence(quat, rng):
@@ -495,7 +618,7 @@ class TestSzego:
             return rule(r, level)
 
         monkeypatch.setattr(kernels, "sphere_rule", counted)
-        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 3 * 100)
+        monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", 3 * 100)
         chunked = st.szego_kernel(2, y, s)
         assert calls == [20, 32]
         assert np.abs(chunked.value - whole.value).max() <= 1e-14 * np.abs(whole.value).max()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import steptwo as st
-from steptwo.spectral import FRAME_TOL
+from steptwo.spectral import FRAME_TOL, _blocks
 from conftest import random_skew_group
 
 
@@ -307,3 +307,49 @@ def test_frame_is_readonly(quat):
     fr = st.normalize(quat, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         fr.O[0, 0] = 5.0
+
+
+class TestBlocks:
+    """``_blocks``, the one block rule, against the two rules it replaced."""
+
+    @staticmethod
+    def fixed_size(count, cost, budget):
+        # the loops of one cost per item: max(1, budget // cost) items a block
+        size = max(1, budget // cost)
+        return [slice(a, min(a + size, count)) for a in range(0, count, size)]
+
+    @staticmethod
+    def row_blocks(row_ends, budget):
+        # group convolution's rule: whole rows of at most ``budget`` pairs,
+        # ``row_ends`` the running pair count; a row over budget is alone
+        blocks, lo = [], 0
+        while lo < len(row_ends):
+            done = row_ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(row_ends, done + budget, "right")))
+            blocks.append(slice(lo, hi))
+            lo = hi
+        return blocks
+
+    def test_one_cost_for_every_item(self, rng, monkeypatch):
+        assert list(_blocks(0, 5)) == []
+        for _ in range(3000):
+            budget = int(rng.integers(1, 1000))
+            count = int(rng.integers(0, 60))
+            cost = int(rng.integers(1, 3 * budget))  # over budget 2/3 of the time
+            monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", budget)
+            assert list(_blocks(count, cost)) == self.fixed_size(count, cost, budget)
+
+    def test_one_cost_per_item(self, rng, monkeypatch):
+        assert list(_blocks(0, np.zeros(0, dtype=int))) == []
+        for _ in range(3000):
+            budget = int(rng.integers(1, 1 << 16))
+            count = int(rng.integers(0, 60))
+            monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", budget)
+            costs = rng.integers(1, 2 * budget // max(count, 1) + 2, count)
+            want = self.row_blocks(np.cumsum(costs), budget)
+            assert list(_blocks(count, costs)) == want
+            # group convolution: 8 prod(L) per pair against the old pair
+            # budget of _CHUNK_ELEMENTS // 8 // prod(L)
+            pairs, pad = rng.integers(1, 300, count), int(rng.integers(1, 100))
+            old = self.row_blocks(np.cumsum(pairs), max(1, budget // 8 // pad))
+            assert list(_blocks(count, 8 * pad * pairs)) == old

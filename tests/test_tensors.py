@@ -7,7 +7,8 @@ import pytest
 
 import steptwo as st
 from steptwo.fields import SampledField, lattice_points, symmetric_axis
-from steptwo.tensors import _chunks, _offset, _slot_tables
+from steptwo.spectral import _blocks
+from steptwo.tensors import _offset, _slot_tables
 from conftest import basis_stack_direct, random_skew_group
 
 
@@ -249,10 +250,12 @@ class TestTwistedProduct:
             st.tensors, "exp_laguerre",
             lambda *a, **kw: calls.append(1) or basis(*a, **kw),
         )
-        for budget in (st.tensors._CHUNK_ELEMENTS, 1 << 30):
-            monkeypatch.setattr(st.tensors, "_CHUNK_ELEMENTS", budget)
+        for budget in (st.spectral._CHUNK_ELEMENTS, 1 << 30):
+            monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", budget)
             for key, (f, g, fr, K) in cases.items():
-                chunks = [len(_chunks(h.values.size, fr, K)) for h in (f, g)]
+                chunks = [
+                    len(list(_blocks(h.values.size, fr.n * K * K))) for h in (f, g)
+                ]
                 other = key.endswith("other-grid")
                 sets = 2 * chunks[0] - 1 + (chunks[1] if other else 0)
                 if budget == 1 << 30:  # one chunk per grid
@@ -353,8 +356,8 @@ class TestChunks:
     def test_chunks_move_only_the_analysis_sums(self, cases, rng, monkeypatch):
         for f, g, fr, K in cases:
             count = f.values.size
-            monkeypatch.setattr(st.tensors, "_CHUNK_ELEMENTS", count * fr.n * K * K)
-            assert len(_chunks(count, fr, K)) == 1
+            monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", count * fr.n * K * K)
+            assert len(list(_blocks(count, fr.n * K * K))) == 1
             whole = st.laguerre_coefficients(f, fr, K)
             mesh = f.mesh()
             scattered = rng.uniform(-3.0, 3.0, (777, f.ndim))
@@ -362,8 +365,8 @@ class TestChunks:
             product = st.twisted_product(f, g, fr, K)
             for chunks in (5, 2):
                 size = -(-count // chunks)  # points per chunk
-                monkeypatch.setattr(st.tensors, "_CHUNK_ELEMENTS", size * fr.n * K * K)
-                assert len(_chunks(count, fr, K)) == chunks
+                monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", size * fr.n * K * K)
+                assert len(list(_blocks(count, fr.n * K * K))) == chunks
                 # chunk sums added in turn: a different summation order
                 T = st.laguerre_coefficients(f, fr, K)
                 peak = np.abs(whole.entries).max()
