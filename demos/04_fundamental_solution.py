@@ -2,7 +2,8 @@
 
 Evaluates the kernel on the Heisenberg and quaternionic Heisenberg
 groups, compares with the closed forms available there, and probes
-harmonicity away from the origin with nested finite differences.
+harmonicity away from the origin with one second difference of step 2h
+along the flow of each left-invariant horizontal field Y_k.
 """
 
 import numpy as np

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GridError
-from .groups import checked_int, finite_array, group_from_dict, positive_number
+from .groups import _as_readonly, checked_int, finite_array, group_from_dict
+from .groups import positive_number
 from .spectral import DEGENERACY_RTOL, _blocks, _checked_spectrum
 
 _MAGIC = b"S2FIELD\x00"
@@ -95,7 +96,7 @@ class SampledField:
     def __post_init__(self):
         shape = tuple(a.count for a in self.axes)
         try:
-            vals = np.asarray(self.values, dtype=complex)
+            vals = _as_readonly(self.values, complex)
         except (TypeError, ValueError):  # text or ragged nesting
             raise GridError(f"values must be numbers, got {self.values!r}") from None
         if vals.shape != shape:
@@ -104,7 +105,6 @@ class SampledField:
             )
         if not np.isfinite(vals).all():
             raise GridError("field values must be finite, got NaN or inf samples")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
@@ -189,8 +189,7 @@ class SampledField:
                 f"{path}: a grid of shape {shape} needs {expected} payload "
                 f"bytes, the container holds {len(data) - header}"
             )
-        values = np.frombuffer(data, dtype=complex, offset=header)
-        values = values.reshape(shape).copy()
+        values = np.frombuffer(data, dtype=complex, offset=header).reshape(shape)
         try:
             with open(path + ".json", "r", encoding="utf-8") as fh:
                 sidecar = json.load(fh)
@@ -407,12 +406,13 @@ def group_convolve(phi, psi, group):
     pair (x, y) the sum over t is the linear convolution of the central
     slices phi[x] and psi[y - x], zero outside the window, at the
     alias-free FFT length L = 2c - 1 per axis; its entry m sits at
-    2 lo + m step.  The twist 2B(x, y) / step splits into a nearest integer
-    k and a fraction f with |f| <= 1/2: the phase exp(-2 pi i omega f) on
-    the spectrum shifts the trigonometric interpolant of the convolution
-    by -f, and entry i + zero_index - k of the inverse transform is its
-    value at s_i - 2B(x, y), zero where that entry leaves [0, L).  L is
-    odd, so real data reads real, and the phase at the negative
+    2 lo + m step.  On each central axis the phase exp(-2 pi i j d / L) at
+    frequency j, d = 2B(x, y) / step - zero_index, shifts the
+    trigonometric interpolant of the convolution by d, so entry i of the
+    inverse transform is its value at s_i - 2B(x, y) and the read is the
+    first c entries.  A read is zero where its nearest convolution index
+    i + zero_index - k, k the twist rounded to an integer, leaves [0, L).
+    L is odd, so real data reads real, and the phase at the negative
     frequencies is the reversed conjugate of the phase at the others.
 
     The output rows y run in blocks of whole rows, each block's pairs
@@ -440,8 +440,8 @@ def group_convolve(phi, psi, group):
         np.fft.fftn(f.values.reshape((n_y,) + t_counts), s=pad, axes=central)
         for f in (phi, psi)
     )
-    # frequencies 0 .. h of each axis; the other h are their negatives
-    freqs = [np.fft.fftfreq(L)[: L // 2 + 1] for L in pad]
+    # frequencies 0 .. h of each axis in cycles per L; the others are -h .. -1
+    freqs = [np.arange(L // 2 + 1) for L in pad]
     # convolution index of s_i - 2 lo before the twist: i + zero_index
     untwisted = [np.arange(a.count) + a.zero_index for a in t_axes]
     # B(x, .) per x: the twist of a pair is this row dotted with y
@@ -466,32 +466,25 @@ def group_convolve(phi, psi, group):
         # axis; x = 0 has no twist, so every row keeps at least that pair
         live = np.all((whole < t_zero + t_counts) & (whole > t_zero - pad), axis=1)
         rows, xs, whole = rows[live], xs[live], whole[live]
-        frac = twist[live] - whole
+        shift = twist[live] - t_zero
         conv = np.take(phi_hat, xs, axis=0)
         conv *= np.take(psi_hat, flat[rows - block.start, xs], axis=0)
         for beta, ax in enumerate(central):
-            # one axis at a time: shift by -f, invert, read i + zero - k
+            # one axis at a time: shift by the twist, invert, read i < c
             L, h, c = pad[beta], pad[beta] // 2, t_counts[beta]
             phase = np.empty((len(xs), L), dtype=complex)
-            phase[:, : h + 1] = np.exp(
-                -2j * np.pi * np.outer(frac[:, beta], freqs[beta])
-            )
+            # j d less its nearest multiple of L: exact for binary twists, |arg| <= pi
+            arg = np.outer(shift[:, beta], freqs[beta])
+            arg -= L * np.rint(arg / L)
+            phase[:, : h + 1] = np.exp(-2j * np.pi / L * arg)
             np.conjugate(phase[:, h:0:-1], out=phase[:, h + 1 :])
             shape = [1] * conv.ndim
             shape[0], shape[ax] = -1, L
             conv *= phase.reshape(shape)
-            conv = np.fft.ifft(conv, axis=ax)
-            # read entry idx of this axis: one gather of rows of the axes after it
+            conv = np.fft.ifft(conv, axis=ax)[(slice(None),) * ax + (slice(c),)]
             idx = untwisted[beta][None, :] - whole[:, beta, None]
-            keep = (idx >= 0) & (idx < L)
-            lead = math.prod(conv.shape[:ax])
-            at = np.arange(lead).reshape(len(xs), -1, 1) * L
-            at = at + np.clip(idx, 0, L - 1)[:, None, :]
-            out_shape = conv.shape[:ax] + (c,) + conv.shape[ax + 1 :]
-            conv = np.take(conv.reshape(lead * L, -1), at.reshape(-1), axis=0)
-            conv = conv.reshape(out_shape)
             shape[ax] = c
-            conv *= keep.reshape(shape)
+            conv *= ((idx >= 0) & (idx < L)).reshape(shape)
         # the pairs run row by row: one segment sum per row
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         out[rows[starts]] = np.add.reduceat(conv, starts, axis=0)

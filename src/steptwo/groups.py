@@ -70,8 +70,9 @@ def positive_number(value, what):
     return float(arr)
 
 
-def _as_readonly(a):
-    a = np.ascontiguousarray(a, dtype=float)
+def _as_readonly(a, dtype=float):
+    """A fresh read-only copy: a value object never shares the caller's array."""
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 

@@ -25,20 +25,23 @@ from .spectral import DEGENERACY_RTOL, _blocks, _checked_spectrum, _plane_energi
 # Refinement schedules.  Each kernel runs a first pass and at most
 # _REFINEMENTS finer ones, until two consecutive passes agree.  Pass i of
 # the fundamental solution takes _FS_RADIAL 2^i radial nodes and sphere
-# level _FS_SPHERE_LEVEL + 8 i.  The numerator of the Szego projection has
-# degree 2k in tau_hat, so its pass i takes sphere level max(20, 4k) + 12 i:
-# 2 level^2 nodes that cost (k+1)^2 each.  A k whose whole schedule costs
-# more than the budget is refused; the largest served, k = 58, runs all
-# four passes in about 15 s on two cores.
+# level _FS_SPHERE_LEVEL + 8 i for r = 3, or _FS_CIRCLE 2^i angles for r = 2
+# (the uniform circle rule converges geometrically).  The numerator of the
+# Szego projection has degree 2k in tau_hat, so its pass i takes sphere
+# level max(20, 4k) + 12 i: 2 level^2 nodes that cost (k+1)^2 each.  A k
+# whose whole schedule costs more than the budget is refused; the largest
+# served, k = 58, runs all four passes in about 15 s on two cores.
 _REFINEMENTS = 3
 _FS_RADIAL = 120
 _FS_SPHERE_LEVEL = 24
+_FS_CIRCLE = 48
 _SZEGO_TOL = 1e-10
 _SZEGO_WORK_BUDGET = 18 * 10**8
 
 
-def _fs_resolution(step):
-    return _FS_RADIAL * 2**step, _FS_SPHERE_LEVEL + 8 * step
+def _fs_resolution(step, r):
+    sphere = _FS_CIRCLE * 2**step if r == 2 else _FS_SPHERE_LEVEL + 8 * step
+    return _FS_RADIAL * 2**step, sphere
 
 
 def _szego_level(k, step):
@@ -106,12 +109,13 @@ def _refine(run_pass, tol, what):
     for level in range(1, _REFINEMENTS + 1):
         cur, nodes = run_pass(level)
         err = float(np.abs(cur - prev).max())
-        scale = max(float(np.abs(cur).max()), 1e-300)
+        scale = float(np.abs(cur).max())
         prev = cur
-        if err <= tol * scale:
+        if err <= tol * scale:  # two exact zeros (an underflow) agree
             return QuadResult(value=cur, est_error=err, nodes_used=nodes)
+    rel = err / scale if scale else math.inf
     raise QuadratureError(
-        f"{what} quadrature did not converge: relative delta {err / scale:.3e} "
+        f"{what} quadrature did not converge: relative delta {rel:.3e} "
         f"against tol {tol:.1e}, last delta {err:.3e}"
     )
 
@@ -212,9 +216,9 @@ def fundamental_solution(group, y, t, tol=1e-9):
     _check_independent(group)
     c = _htype_scale(group) if group.r == 3 else None
     if c is None:
-        run_pass = lambda lv: _fs_quadrature(group, y, t, *_fs_resolution(lv))
+        run_pass = lambda lv: _fs_quadrature(group, y, t, *_fs_resolution(lv, group.r))
     else:
-        run_pass = lambda lv: _fs_htype_pass(group, c, y, t, _fs_resolution(lv)[0])
+        run_pass = lambda lv: _fs_htype_pass(group, c, y, t, _fs_resolution(lv, 3)[0])
     return _refine(run_pass, tol, "fundamental solution")
 
 

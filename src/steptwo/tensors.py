@@ -14,7 +14,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import DimensionError, GridError
-from .groups import checked_int, finite_array
+from .groups import _as_readonly, checked_int, finite_array
 from .laguerre import basis_address, exp_laguerre, exp_laguerre_l2_norm_sq
 from .spectral import _blocks
 
@@ -78,11 +78,10 @@ class LaguerreTensor:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(
+        entries = _as_readonly(
             _checked_numbers(self.entries, "tensor entries", self.frame, self.K, 2),
-            dtype=complex,
+            complex,
         )
-        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -281,7 +281,7 @@ def abel_fundamental_solution(group, y, t, R, tol=1e-9):
     power = n + r - 1
 
     def run_pass(level):
-        radial, sphere_level = _fs_resolution(level)
+        radial, sphere_level = _fs_resolution(level, r)
         pts, wts = sphere_rule(r, sphere_level)
         _, mu, V, _, _ = _checked_spectrum(group, pts, DEGENERACY_RTOL)
         a = _plane_energies(V, y)

@@ -206,6 +206,39 @@ def _h1_dict(**fields):
 _H1_FRAME = st.normalize(st.heisenberg(1), [1.0])
 
 
+# each case: the caller's array, the object built from it, and the object's
+# copy of that array; the field and the tensor get views, whose base is
+# the caller's array
+_OWNERS = {
+    "make_group": (lambda: np.array([J2]), lambda a: st.make_group(1, 1, a),
+                   lambda g: g.B),
+    "point": (lambda: np.array([0.5, -1.0]),
+              lambda a: st.heisenberg(1).point(a, [0.2]), lambda p: p.y),
+    "normalize": (lambda: np.array([1.0]),
+                  lambda a: st.normalize(st.heisenberg(1), a), lambda f: f.tau),
+    "SampledField": (
+        lambda: np.arange(6, dtype=complex),
+        lambda a: st.SampledField(axes=(st.Axis(0.0, 1.0, 6),), values=a[:]),
+        lambda f: f.values),
+    "LaguerreTensor": (
+        lambda: np.eye(2, dtype=complex),
+        lambda a: st.LaguerreTensor(frame=_H1_FRAME, K=2, entries=a.T),
+        lambda t: t.entries),
+}
+
+
+@pytest.mark.parametrize(
+    "make, build, read", list(_OWNERS.values()), ids=list(_OWNERS)
+)
+def test_value_objects_own_their_arrays(make, build, read):
+    arr = make()
+    obj = build(arr)
+    kept = read(obj).copy()
+    assert arr.flags.writeable and not read(obj).flags.writeable
+    arr[...] = 7.0
+    np.testing.assert_array_equal(read(obj), kept)
+
+
 _NOT_INTEGERS = {
     "group-n-float": (lambda: st.group_from_dict(_h1_dict(n=1.9)), r"\bn must"),
     "group-n-bool": (lambda: st.group_from_dict(_h1_dict(n=True)), r"\bn must"),

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import ortho_group
 
 import steptwo as st
 import steptwo.kernels as kernels
@@ -157,6 +158,43 @@ class TestFundamentalSolution:
             lim = st.fundamental_solution(g, y, t).value
             reg = abel_fundamental_solution(g, y, t, 1 - 1e-6)
             assert abs(lim - reg) / abs(lim) < 1e-4
+
+    def test_tiny_values_do_not_pass_as_converged(self, h1, capsys):
+        # at t = 1e300 the closed form is 1e-300, but the passes return
+        # subnormal noise near 1e-315, which passed as agreeing while the
+        # scale had a floor of 1e-300
+        with pytest.raises(st.QuadratureError, match="did not converge"):
+            st.fundamental_solution(h1, [1.0, 0.0], [1e300])
+        code = run(["fundamental", "--group=preset:heisenberg-1", "--point=1,0,1e300"])
+        assert code == 1 and "did not converge" in capsys.readouterr().err
+        # two passes of exact zeros (an underflow) still agree
+        assert run(["szego", "--k=1", "--y=1e100,0,0,0", "--s=0,0,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["matrix_re"] == [[0.0] * 2] * 2
+        # a last pass of zero reports an infinite relative delta
+        passes = lambda lv: (np.array([0.0 if lv == 3 else lv + 1.0]), 1)
+        with pytest.raises(st.QuadratureError, match="relative delta inf .* 3.000e"):
+            kernels._refine(passes, 1e-9, "toy")
+
+    def test_r2_groups_converge_and_are_isomorphism_invariant(self):
+        # the r = 2 calls of the seeded set of ROADMAP item 3: the circle
+        # rule doubles its angles each pass.  B'_a = sum_b Q_ab P B_b P^T
+        # for orthogonal P, Q is an isomorphic group, and
+        # Gamma_B'(P y, Q t) = Gamma_B(y, t)
+        rng = np.random.default_rng(11)
+        turns = np.random.default_rng(12)
+        for n, r in ((2, 2), (3, 2)):
+            for _ in range(6):
+                B = rng.standard_normal((r, 2 * n, 2 * n))
+                y, t = rng.standard_normal(2 * n), 0.5 * rng.standard_normal(r)
+                B = B - np.transpose(B, (0, 2, 1))
+                P = ortho_group.rvs(2 * n, random_state=turns)
+                Q = ortho_group.rvs(r, random_state=turns)
+                turned = np.einsum("ab,kl,blm,jm->akj", Q, P, B, P)
+                v = st.fundamental_solution(st.make_group(n, r, B), y, t).value
+                w = st.fundamental_solution(
+                    st.make_group(n, r, turned), P @ y, Q @ t
+                ).value
+                assert abs(w - v) <= 1e-9 * abs(v)
 
     def test_dependent_structure_matrices_rejected(self, capsys, tmp_path):
         # n = 1, r = 2: the skew 2x2 matrices span one dimension, so
