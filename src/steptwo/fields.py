@@ -106,6 +106,8 @@ class SampledField:
         if not np.isfinite(vals).all():
             raise GridError("field values must be finite, got NaN or inf samples")
         object.__setattr__(self, "values", vals)
+        if self.tau is not None:
+            object.__setattr__(self, "tau", _as_readonly(self.tau))
 
     @property
     def ndim(self):
@@ -578,44 +580,52 @@ def abel_multiplier(mu, energies, R):
     return np.prod(2.0 / (1.0 + R) * np.exp(expo), axis=-1)
 
 
-def _shifted_energies(mu, V, xi, y):
-    """Plane energies 2 |V_j^H (xi + 2 M^T y)|^2, shape (len(y), len(xi), n),
-    from one table over xi and one over y: M V_j = i mu_j V_j."""
-    z = (xi @ V.conj())[None] - 2j * mu * (y @ V.conj())[:, None]
-    return 2.0 * (z.real**2 + z.imag**2)
-
-
 def abel_approx_identity(f, group, R):
     """Abel-summed approximate identity applied to a sampled field.
 
-    For R in (0,1), evaluates the Abel sum of the reproducing series in
-    closed multiplier form on the Euclidean Fourier side.  As R -> 1- the
-    output converges to f.  It works in blocks of y rows of a fixed size.
+    For R in (0,1), the Abel sum of the reproducing series in closed form:
+    at each node of the half-offset central lattice, row y sums e^(i y.xi)
+    m f_hat over xi, m = (2/(1+R))^n e^-(xi^T Q xi + y^T P y + xi^T S y),
+    where (Q, P, S) = sum_j kappa (Re W_j / 2 mu_j, 2 mu_j Re W_j, 2 Im W_j),
+    W_j = V_j V_j^H, kappa = (1-R)/(1+R).  e^-(xi^T (Q - d) xi), d =
+    lambda_min(Q), folds into f_hat; the rest is one factor exp(xi_k (i y_k
+    - (S y)_k) - d xi_k^2) per xi axis, contracted in turn by einsum and
+    divided by its largest modulus over xi_k, whose log joins the row's
+    log-scale.  Rows run in blocks (block rule); as R -> 1- it tends to f.
     """
     if positive_number(R, "Abel parameter R") >= 1.0:
         raise DimensionError(f"Abel parameter R must be in (0,1), got {R}")
     y_axes, t_axes = _group_axes(f, group)
     xi_freqs = [dual_axis_points(a) for a in y_axes]
-    # half-offset central dual lattice: no node sits on the degenerate
-    # tau = 0 plane, where the multiplier is discontinuous
+    # half-offset central lattice: no node on tau = 0, where m is discontinuous
     tau_freqs = [dual_axis_points(a, 0.5) for a in t_axes]
     f_hat = _ft_axes(f.values, f.axes, 0, xi_freqs + tau_freqs)
+    y_idx = lattice_points([np.arange(a.count) for a in y_axes])
     y_pts = lattice_points([a.points() for a in y_axes])
-    xi_pts = lattice_points(xi_freqs)
+    xi = lattice_points(xi_freqs)
     tau_pts = lattice_points(tau_freqs)
-    f_hat = f_hat.reshape(len(y_pts), len(tau_pts))
     _, mu, V, _, _ = _checked_spectrum(group, tau_pts, DEGENERACY_RTOL)
-
-    partial = np.empty(f_hat.shape, dtype=complex)
-    for b in _blocks(len(y_pts), len(xi_pts)):
-        phase_yx = np.exp(1j * (y_pts[b] @ xi_pts.T))
-        for q in range(len(tau_pts)):
-            # the right factor's transform, read by the twist at xi + 2 M^T y
-            mult = abel_multiplier(
-                mu[q], _shifted_energies(mu[q], V[q], xi_pts, y_pts[b]), R
-            )
-            partial[b, q] = np.einsum("yx,yx,x->y", phase_yx, mult, f_hat[:, q])
-    partial /= np.prod([a.count * a.step for a in y_axes])
+    kappa = (1.0 - R) / (1.0 + R)
+    W = kappa * np.einsum("qkj,qlj->qjkl", V, V.conj())
+    Q, P = (np.einsum("qj,qjkl->qkl", w, W.real) for w in (0.5 / mu, 2.0 * mu))
+    S = 2.0 * W.imag.sum(axis=1)
+    d = np.linalg.eigvalsh(Q)[:, 0]
+    Q -= d[:, None, None] * np.eye(group.m)
+    g = f_hat.reshape(len(xi), -1).T * np.exp(-np.einsum("xk,qkl,xl->qx", xi, Q, xi))
+    phases = [np.exp(1j * np.outer(w, a.points())) for a, w in zip(y_axes, xi_freqs)]
+    partial = np.empty((len(y_pts), len(tau_pts)), dtype=complex)
+    for b in _blocks(len(y_pts), len(tau_pts) * len(xi) // len(xi_freqs[-1])):
+        log_scale = -np.einsum("yk,qkl,yl->qy", y_pts[b], P, y_pts[b])
+        acc = g.reshape(len(tau_pts), 1, *map(len, xi_freqs))
+        for k in reversed(range(group.m)):  # last xi axis first; (xi_k, q, y) arrays
+            w = xi_freqs[k][:, None, None]
+            expo = -w * (np.einsum("ql,yl->qy", S[:, k], y_pts[b]) + d[:, None] * w)
+            top = expo.max(axis=0)
+            log_scale += top
+            factor = np.exp(expo - top) * phases[k][:, None, y_idx[b, k]]
+            acc = np.einsum("qyk,qy...k->qy...", factor.transpose(1, 2, 0).copy(), acc)
+        partial[b] = (acc * np.exp(log_scale)).T
+    partial *= (1.0 + kappa) ** group.n / math.prod(a.count * a.step for a in y_axes)
     out = _ft_axes(
         partial.reshape(f.values.shape), t_axes, group.m, tau_freqs, inverse=True
     )

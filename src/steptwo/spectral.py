@@ -82,7 +82,9 @@ class TauFrame:
     min_gap: float
 
     def __post_init__(self):
-        mu = np.asarray(self.mu)
+        for name in ("tau", "mu", "O"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        mu = self.mu
         if not (np.isfinite(mu).all() and (mu > 0).all()):
             raise DegenerateTauError(
                 f"a tau-frame needs finite mu > 0, got mu={mu.tolist()}"
@@ -242,12 +244,7 @@ def _assemble_frame(tau, M, mu, V, gap_tol):
     O = np.empty((2 * n, 2 * n))
     O[:, 0::2] = np.sqrt(2.0) * V.imag
     O[:, 1::2] = np.sqrt(2.0) * V.real
-    frame = TauFrame(
-        tau=_as_readonly(tau),
-        mu=_as_readonly(mu),
-        O=_as_readonly(O),
-        min_gap=_min_gap(mu, gap_tol),
-    )
+    frame = TauFrame(tau=tau, mu=mu, O=O, min_gap=_min_gap(mu, gap_tol))
     resid, ortho = frame.residuals(M)
     if resid > FRAME_TOL * mu[0] or ortho > FRAME_TOL:
         raise DegenerateTauError(

@@ -12,7 +12,9 @@ import steptwo as st
 from steptwo.errors import GridError
 from steptwo.fields import (
     _check_shared_grid,
+    _ft_axes,
     _group_axes,
+    abel_multiplier,
     dual_axis_points,
     lattice_points,
 )
@@ -264,6 +266,48 @@ def abel_partial_sum(f, group, R, terms):
     )
     return st.SampledField(
         axes=f.axes, values=out.reshape(y_shape + t_shape), group=group
+    )
+
+
+def _shifted_energies(mu, V, xi, y):
+    """Plane energies 2 |V_j^H (xi + 2 M^T y)|^2, shape (len(y), len(xi), n),
+    from one table over xi and one over y: M V_j = i mu_j V_j."""
+    z = (xi @ V.conj())[None] - 2j * mu * (y @ V.conj())[:, None]
+    return 2.0 * (z.real**2 + z.imag**2)
+
+
+def abel_pairwise(f, group, R, rows=None):
+    """Abel approximate identity by the per-pair sum (slow oracle).
+
+    At each node tau of the half-offset central dual lattice, output row y
+    sums e^(i y.xi) abel_multiplier(energies of xi + 2 M^T y) f_hat(xi, tau)
+    over every xi node, one (y, xi) table per node; the inverse central
+    transform returns to the group.  ``rows`` (flat indices of horizontal
+    grid points, default all) picks the rows computed; the result has shape
+    (len(rows), *central counts).
+    """
+    y_axes, t_axes = _group_axes(f, group)
+    xi_freqs = [dual_axis_points(a) for a in y_axes]
+    tau_freqs = [dual_axis_points(a, 0.5) for a in t_axes]
+    f_hat = _ft_axes(f.values, f.axes, 0, xi_freqs + tau_freqs)
+    y_pts = lattice_points([a.points() for a in y_axes])
+    y_pts = y_pts if rows is None else y_pts[rows]
+    xi_pts = lattice_points(xi_freqs)
+    tau_pts = lattice_points(tau_freqs)
+    f_hat = f_hat.reshape(len(xi_pts), len(tau_pts))
+    _, mu, V, _, _ = _checked_spectrum(group, tau_pts, DEGENERACY_RTOL)
+    partial = np.empty((len(y_pts), len(tau_pts)), dtype=complex)
+    for lo in range(0, len(y_pts), 64):
+        y = y_pts[lo : lo + 64]
+        phase = np.exp(1j * (y @ xi_pts.T))
+        for q in range(len(tau_pts)):
+            energies = _shifted_energies(mu[q], V[q], xi_pts, y)
+            mult = abel_multiplier(mu[q], energies, R)
+            partial[lo : lo + 64, q] = np.einsum("yx,yx,x->y", phase, mult, f_hat[:, q])
+    partial /= np.prod([a.count * a.step for a in y_axes])
+    shape = (len(y_pts),) + tuple(a.count for a in t_axes)
+    return _ft_axes(
+        partial.reshape(shape), t_axes, 1, tau_freqs, inverse=True
     )
 
 

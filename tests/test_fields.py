@@ -12,7 +12,6 @@ from steptwo.fields import (
     SampledField,
     _ft_axes,
     _isotropic_split,
-    _shifted_energies,
     abel_multiplier,
     dual_axis_points,
     lattice_points,
@@ -20,6 +19,8 @@ from steptwo.fields import (
 )
 from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 from conftest import (
+    _shifted_energies,
+    abel_pairwise,
     abel_partial_sum,
     axis_derivative_4th,
     every,
@@ -835,6 +836,43 @@ class TestAbel:
             for R in (0.5, 0.9, 0.99)
         ]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("case", ["h1", "quat", "h2", "anisotropic"])
+    def test_separable_contraction_matches_pairwise_sum(self, rng, case):
+        # the per-pair sum costs N_q N_y N_xi multipliers: on the larger
+        # grids it is checked on a seeded set of rows, the origin and the two
+        # ends among them; the peak is the oracle's over those rows
+        if case == "anisotropic":
+            g = random_skew_group(rng, n=2, r=2)
+            g = st.make_group(2, 2, g.B * np.array([1.0, 0.05])[:, None, None])
+        else:
+            g = {"h1": st.heisenberg(1), "quat": st.quaternionic_heisenberg(),
+                 "h2": st.heisenberg(2)}[case]
+        radius = 10.0 if case == "anisotropic" else 5.0
+        counts = {"h1": (16, 16), "quat": (6, 4), "h2": (8, 8), "anisotropic": (6, 4)}
+        ay, at = (symmetric_axis(radius, c) for c in counts[case])
+        f = gaussian_mixture(rng, (ay,) * g.m + (at,) * g.r)
+        n_y = ay.count**g.m
+        rows = None
+        if n_y > 256:
+            origin = np.ravel_multi_index((ay.zero_index,) * g.m, (ay.count,) * g.m)
+            rows = np.r_[0, origin, n_y - 1, rng.choice(n_y, 61, replace=False)]
+        for R in (0.01, 0.5, 0.99):
+            want = abel_pairwise(f, g, R, rows)
+            got = st.abel_approx_identity(f, g, R).values.reshape(n_y, -1)
+            got = got if rows is None else got[rows]
+            want = want.reshape(got.shape)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch, n):
+        g = st.heisenberg(n)
+        ay, at = symmetric_axis(5.0, 16 if n == 1 else 6), symmetric_axis(6.0, 8)
+        f = gaussian_mixture(rng, (ay,) * g.m + (at,))
+        default = st.abel_approx_identity(f, g, 0.7).values
+        monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", 1)
+        one_row = st.abel_approx_identity(f, g, 0.7).values
+        assert one_row.tobytes() == default.tobytes()
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM"

@@ -224,6 +224,23 @@ _OWNERS = {
         lambda: np.eye(2, dtype=complex),
         lambda a: st.LaguerreTensor(frame=_H1_FRAME, K=2, entries=a.T),
         lambda t: t.entries),
+    "SampledField.tau": (
+        lambda: np.array([1.0]),
+        lambda a: st.SampledField(
+            axes=(st.Axis(0.0, 1.0, 4),), values=np.zeros(4), tau=a),
+        lambda f: f.tau),
+    "TauFrame.tau": (
+        lambda: np.array([1.0]),
+        lambda a: st.TauFrame(tau=a, mu=_H1_FRAME.mu, O=_H1_FRAME.O, min_gap=1.0),
+        lambda fr: fr.tau),
+    "TauFrame.mu": (
+        lambda: np.array([1.0]),
+        lambda a: st.TauFrame(tau=_H1_FRAME.tau, mu=a, O=_H1_FRAME.O, min_gap=1.0),
+        lambda fr: fr.mu),
+    "TauFrame.O": (
+        lambda: np.eye(2),
+        lambda a: st.TauFrame(tau=_H1_FRAME.tau, mu=_H1_FRAME.mu, O=a, min_gap=1.0),
+        lambda fr: fr.O),
 }
 
 
