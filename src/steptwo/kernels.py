@@ -19,7 +19,7 @@ from scipy.special import eval_chebyu
 
 from .errors import DegenerateTauError, DimensionError, QuadratureError
 from .groups import checked_int, finite_array, positive_number, quaternionic_heisenberg
-from .quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
+from .quadrature import polished_gauss_legendre, radial_nodes, sphere_rule, x_coth, x_over_sinh
 from .spectral import DEGENERACY_RTOL, _blocks, _checked_spectrum, _plane_energies
 
 # Refinement schedules.  Each kernel runs a first pass and at most
@@ -27,16 +27,14 @@ from .spectral import DEGENERACY_RTOL, _blocks, _checked_spectrum, _plane_energi
 # the fundamental solution takes _FS_RADIAL 2^i radial nodes and sphere
 # level _FS_SPHERE_LEVEL + 8 i for r = 3, or _FS_CIRCLE 2^i angles for r = 2
 # (the uniform circle rule converges geometrically).  The numerator of the
-# Szego projection has degree 2k in tau_hat, so its pass i takes sphere
-# level max(20, 4k) + 12 i: 2 level^2 nodes that cost (k+1)^2 each.  A k
-# whose whole schedule costs more than the budget is refused; the largest
-# served, k = 58, runs all four passes in about 15 s on two cores.
+# Szego projection has degree 2k in tau_hat, so its pass i takes level
+# max(20, 4k) + 12 i: 3 level / 2 polar nodes about e_0 times 3 level
+# azimuths (_szego_pass), each polar node costing (k+1)^2 + 3 level.
 _REFINEMENTS = 3
 _FS_RADIAL = 120
 _FS_SPHERE_LEVEL = 24
 _FS_CIRCLE = 48
 _SZEGO_TOL = 1e-10
-_SZEGO_WORK_BUDGET = 18 * 10**8
 
 
 def _fs_resolution(step, r):
@@ -46,11 +44,6 @@ def _fs_resolution(step, r):
 
 def _szego_level(k, step):
     return max(20, 4 * k) + 12 * step
-
-
-def _szego_work(k):
-    levels = (_szego_level(k, i) for i in range(_REFINEMENTS + 1))
-    return sum(2 * lv**2 for lv in levels) * (k + 1) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +97,25 @@ def _refine(run_pass, tol, what):
 
     ``run_pass(level)`` returns (value, nodes) for levels 0.._REFINEMENTS;
     the max-norm delta of the last two passes is reported as ``est_error``.
+    A pass that overflows, divides by zero or meets an invalid value, or
+    returns a non-finite entry, raises at once: the value at this point is
+    outside the float range, and no finer pass brings it back.
     """
-    prev, _ = run_pass(0)
+
+    def finite_pass(level):
+        outside = QuadratureError(f"the {what} at this point is outside the float range")
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                value, nodes = run_pass(level)
+        except FloatingPointError as exc:
+            raise outside from exc
+        if not np.isfinite(value).all():
+            raise outside
+        return value, nodes
+
+    prev, _ = finite_pass(0)
     for level in range(1, _REFINEMENTS + 1):
-        cur, nodes = run_pass(level)
+        cur, nodes = finite_pass(level)
         err = float(np.abs(cur - prev).max())
         scale = float(np.abs(cur).max())
         prev = cur
@@ -321,7 +329,7 @@ def null_vector(k, tau_hat):
     return e
 
 
-# input bound of szego_data; szego_kernel serves less (_SZEGO_WORK_BUDGET)
+# input bound of szego_data and szego_kernel
 MAX_LEVEL = 511
 
 
@@ -352,16 +360,29 @@ SZEGO_CONSTANT = 2**7 * 3 / (2.0 * np.pi) ** 5
 
 
 def _szego_pass(k, y, s, level):
-    """One sphere pass: the weighted power at every node, then the
-    projections contracted block by block (einsum, not BLAS, so the sum
-    order does not depend on the thread count)."""
-    pts, wts = sphere_rule(3, level)
-    w = wts * np.exp(-5.0 * np.log(y @ y - 1j * np.einsum("si,i->s", pts, s)))
+    """One pass of the product rule about e_0, the null vector's axis.
+
+    At tau_hat = (x, c cos phi, c sin phi), c = sqrt(1 - x^2), P_jl is
+    P_jl(x, 0) e^(i (j-l) phi), so the kernel is sum_x w_x P_jl(x, 0)
+    W_(j-l)(x), W_m(x) the phi integral of e^(i m phi) (|y|^2 - i tau_hat.s)^-5:
+    one inverse FFT over 3 level > 2k azimuths, so no harmonic aliases.  The
+    null vector's norm vanishes pi / (k+1) off the polar segment, so the
+    3 level / 2 >= 6k Gauss-Legendre nodes x leave about e^(-12 pi).  Polar
+    nodes run in blocks (einsum, not BLAS: the sum order is thread-count free).
+    """
+    x, wx = polished_gauss_legendre(3 * level // 2)
+    n_phi = 3 * level
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    c = np.sqrt(1.0 - x**2)
+    j = np.arange(k + 1)
+    harmonic = (j[:, None] - j) % n_phi
     acc = np.zeros((k + 1, k + 1), dtype=complex)
-    for s in _blocks(len(pts), k + 1):
-        e = null_vector(k, pts[s])
-        acc += np.einsum("s,si,sj->ij", w[s], e, e.conj())
-    return SZEGO_CONSTANT * acc, wts.size
+    for b in _blocks(x.size, (k + 1) ** 2 + n_phi):
+        e = null_vector(k, np.column_stack([x[b], c[b], 0.0 * c[b]]))
+        ts = x[b, None] * s[0] + c[b, None] * (np.cos(phi) * s[1] + np.sin(phi) * s[2])
+        W = 2.0 * np.pi * np.fft.ifft(np.exp(-5.0 * np.log(y @ y - 1j * ts)), axis=1)
+        acc += np.einsum("x,xj,xl,xjl->jl", wx[b], e, e.conj(), W[:, harmonic])
+    return SZEGO_CONSTANT * acc, x.size * n_phi
 
 
 def szego_kernel(k, y, s):
@@ -369,16 +390,10 @@ def szego_kernel(k, y, s):
 
     The integrand is the rank-one projection onto the null vector over the
     unit sphere of frequencies, against the principal-branch complex power
-    of |y|^2 - i tau.s (positive real part for y != 0), on the sphere
-    rules of ``_szego_level``.
+    of |y|^2 - i tau.s (positive real part for y != 0), on the product
+    rules about e_0 of ``_szego_level`` (``_szego_pass``).
     """
     k = checked_int(k, "level k", 1, MAX_LEVEL)
-    if _szego_work(k) > _SZEGO_WORK_BUDGET:
-        served = max(j for j in range(1, k) if _szego_work(j) <= _SZEGO_WORK_BUDGET)
-        raise DimensionError(
-            f"the level k = {k} exceeds the Szego kernel's work budget; "
-            f"the largest level served is k = {served}"
-        )
     y, s = quaternionic_heisenberg().point(y, s)
     if not np.any(y):
         raise DimensionError(

@@ -66,9 +66,14 @@ def laguerre_l(k, p, sigma):
     The Gamma-ratio prefactor is taken in log space and the weight
     sigma^(p/2) e^(-sigma/2) as a single exponential, so moderate k + p
     cannot overflow.  At sigma = 0 the weight is 1 for p = 0 and 0 for p > 0.
+    A sigma < 0 is outside the domain and raises.
     """
     poly = laguerre_poly(k, p, sigma)  # checks k, p and sigma
     sigma = finite_array(sigma, "sigma")
+    if np.any(sigma < 0):
+        raise DimensionError(
+            f"laguerre_l needs sigma >= 0, got sigma={sigma[sigma < 0].flat[0]:.6g}"
+        )
     return poly * _weight(k, p, sigma, _log_sigma(sigma))
 
 

@@ -19,7 +19,7 @@ from steptwo.fields import (
     lattice_points,
 )
 from steptwo.kernels import SZEGO_CONSTANT, _fs_resolution, _refine
-from steptwo.quadrature import radial_nodes, sphere_rule, x_coth, x_over_sinh
+from steptwo.quadrature import polished_gauss_legendre, radial_nodes, sphere_rule, x_coth, x_over_sinh
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
 from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 
@@ -416,32 +416,37 @@ def heat_tail_on_ray(group, lam, y, s0):
 
 
 def null_vector_unscaled(k, tau_hat):
-    """Unit null vector of the level-k Szego matrix at one unit frequency,
-    from the unscaled powers a^(k-j) b^j and their norm
+    """Unit null vectors of the level-k Szego matrix at unit frequencies
+    (..., 3), from the unscaled powers a^(k-j) b^j and their norm
     gamma^2 = sum_j a^(2k-j) (1 - tau_0)^j (oracle of ``null_vector``;
     underflows to 0/0 near tau_hat = (-1, 0, 0) from about k = 100)."""
-    if 1.0 + tau_hat[0] <= 1e-14:
-        e = np.zeros(k + 1, dtype=complex)
-        e[-1] = 1.0
-        return e
-    a = 1.0 + tau_hat[0]
-    b = 1j * tau_hat[1] - tau_hat[2]
-    e = np.array([a ** (k - j) * b**j for j in range(k + 1)], dtype=complex)
-    gamma_sq = sum(a ** (2 * k - j) * (1.0 - tau_hat[0]) ** j for j in range(k + 1))
-    return e / np.sqrt(gamma_sq)
+    tau_hat = np.asarray(tau_hat, dtype=float)
+    a = (1.0 + tau_hat[..., 0])[..., None]
+    b = (1j * tau_hat[..., 1] - tau_hat[..., 2])[..., None]
+    j = np.arange(k + 1)
+    e = a ** (k - j) * b**j
+    gamma_sq = np.sum(a ** (2 * k - j) * (1.0 - tau_hat[..., 0, None]) ** j, axis=-1)
+    pole = a[..., 0] <= 1e-14
+    e[pole] = j == k
+    gamma_sq[pole] = 1.0
+    return e / np.sqrt(gamma_sq)[..., None]
 
 
 def szego_pass_loop(k, y, s, level):
-    """One Szego sphere pass node by node: one unscaled null vector and one
-    outer product per node (slow oracle of ``kernels._szego_pass``)."""
-    pts, wts = sphere_rule(3, level)
-    y2 = float(np.dot(y, y))
-    acc = np.zeros((k + 1, k + 1), dtype=complex)
-    for tdot, w in zip(pts, wts):
-        e1 = null_vector_unscaled(k, tdot)
-        base = y2 - 1j * float(np.dot(tdot, s))
-        acc += (w * np.exp(-5.0 * np.log(base + 0j))) * np.outer(e1, e1.conj())
-    return SZEGO_CONSTANT * acc, wts.size
+    """One Szego pass as a direct sum over the sphere nodes: per node the
+    power (|y|^2 - i tau_hat.s)^(-5) times the outer product of
+    ``null_vector_unscaled``, no FFT (oracle of ``kernels._szego_pass``).
+    The nodes are a product rule about e_0, tau_hat = (x, sqrt(1 - x^2)
+    cos phi, sqrt(1 - x^2) sin phi): 3 level / 2 Gauss-Legendre x times
+    3 level uniform phi."""
+    x, wx = polished_gauss_legendre(3 * level // 2)
+    phi = 2.0 * np.pi * np.arange(3 * level) / (3 * level)
+    side = np.sqrt(1.0 - x**2)[:, None]
+    pts = np.stack(np.broadcast_arrays(x[:, None], side * np.cos(phi), side * np.sin(phi)), axis=-1)
+    pts, wts = pts.reshape(-1, 3), np.repeat(wx * 2.0 * np.pi / phi.size, phi.size)
+    e = null_vector_unscaled(k, pts)
+    power = np.exp(-5.0 * np.log(float(np.dot(y, y)) - 1j * (pts @ s)))
+    return SZEGO_CONSTANT * np.einsum("n,nj,nl->jl", wts * power, e, e.conj()), wts.size
 
 
 def szego_at_zero_central(k, y):
@@ -458,6 +463,41 @@ def szego_at_zero_central(k, y):
     diag = 2.0 * np.pi * (w @ (terms / terms.sum(axis=1, keepdims=True)))
     y = np.asarray(y, dtype=float)
     return SZEGO_CONSTANT * float(y @ y) ** -5 * np.diag(diag)
+
+
+def szego_on_axis(k, y, s0, digits=30):
+    """Szego kernel at s = (s0, 0, 0) as 1-D integrals, in mpmath.
+
+    About e_0 the power (|y|^2 - i s0 cos theta)^(-5) does not depend on
+    the azimuth, and entry (j, l) of the projection carries
+    e^(i (j-l) phi), so the kernel is diagonal.  Entry j is
+    2 pi SZEGO_CONSTANT times the integral over theta in [0, pi] of
+    (|y|^2 - i s0 cos theta)^(-5) a^(2(k-j)) sin^(2j) theta / N sin theta,
+    with a = 1 + cos theta and N = sum_i a^(2(k-i)) sin^(2i) theta; each
+    entry by ``mpmath.quad`` at ``digits`` digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        y2, s0 = mpmath.mpf(float(np.dot(y, y))), mpmath.mpf(float(s0))
+        shared = {}
+
+        def common(theta):  # every entry's quad visits the same nodes
+            if theta not in shared:
+                a, sine = 1 + mpmath.cos(theta), mpmath.sin(theta)
+                norm = mpmath.fsum(a ** (2 * (k - i)) * sine ** (2 * i) for i in range(k + 1))
+                power = (y2 - 1j * s0 * mpmath.cos(theta)) ** -5
+                shared[theta] = a, sine, power * sine / norm
+            return shared[theta]
+
+        def entry(j):
+            def integrand(theta):
+                a, sine, rest = common(theta)
+                return rest * a ** (2 * (k - j)) * sine ** (2 * j)
+
+            return complex(2 * mpmath.pi * mpmath.quad(integrand, [0, mpmath.pi]))
+
+        diag = [entry(j) for j in range(k + 1)]
+    return SZEGO_CONSTANT * np.diag(diag)
 
 
 def axis_derivative_4th(values, axis, step):

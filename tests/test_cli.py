@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -465,6 +466,8 @@ def test_usage_error_exit_code(capsys):
           "preset:heisenberg-1", "--path", "direct", "--out", "OUT"], "NAN_FIELD"),
         (["convolve", "--a", "NAN_FIELD", "--b", "NAN_FIELD", "--group",
           "preset:heisenberg-1", "--path", "fourier", "--out", "OUT"], "finite"),
+        # outside the domain [0, inf) of l_k^(p)
+        (["laguerre", "eval", "--k", "3", "--p", "2", "--sigma", "-1"], "sigma >= 0"),
     ],
 )
 def test_bad_input_is_a_clean_error(argv, names, tmp_path, capsys):
@@ -580,15 +583,22 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
 
 
-# sha256 of the stdout of ``selftest all --seed 42``.  A change that alters
-# the report must update this digest and say why.
-SELFTEST_ALL_SHA256 = "fa4d71947b9e2619e8539d0e2f4bc9ed665445549686aabcf0ff0afd872aa5fe"
+# sha256 of the stdout of ``selftest all --seed 42`` with numpy's SIMD
+# loops capped at its x86-64 baseline and OpenBLAS at one core type, so
+# the digest does not depend on the CPU of the machine that runs it.  A
+# change that alters the report must update this digest and say why.
+SELFTEST_ALL_SHA256 = "c69463ef3cdc8fc9a8ed1cb3fd07a0cedbbd5963c171d178bc58e6fd3e698d56"
+PINNED_DISPATCH = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Prescott",
+}
 
 
 def test_selftest_report_is_pinned():
     proc = subprocess.run(
         [sys.executable, "-m", "steptwo.cli", "selftest", "all", "--seed", "42"],
         capture_output=True,
+        env={**os.environ, **PINNED_DISPATCH},
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == SELFTEST_ALL_SHA256

@@ -878,10 +878,11 @@ class TestAbel:
         not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM"
     )
     def test_memory_does_not_grow_with_the_grid(self):
-        # Abel builds its N_y x N_xi phase and multiplier arrays in blocks of
-        # y rows; whole, they take 85 MB each at 48^2 x 8.  The peak is the
-        # child's VmHWM: getrusage's ru_maxrss would keep the peak of the
-        # test process the child was forked from.
+        # Abel contracts one xi axis at a time over blocks of y rows, so no
+        # N_y x N_xi table is formed (one would take 85 MB at 48^2 x 8) and
+        # a row's working set is the first contraction's N_q N_xi / N_last
+        # entries.  The peak is the child's VmHWM: getrusage's ru_maxrss
+        # would keep the peak of the test process the child was forked from.
         script = """
 import numpy as np
 import steptwo as st

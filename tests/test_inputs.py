@@ -52,6 +52,7 @@ _ENTRIES = {
     "laguerre_poly.p": lambda v: st.laguerre_poly(2, v, 0.5),
     "laguerre_poly.sigma": lambda v: st.laguerre_poly(2, 1.5, v),
     "laguerre_l.p": lambda v: st.laguerre_l(2, v, 0.5),
+    "laguerre_l.sigma": lambda v: st.laguerre_l(3, 2, v),
     "shift_apply.which": lambda v: st.shift_apply(_FRAME, v, _IDX),
     "synthesize.y": lambda v: st.synthesize(_TENSOR, v),
     "apply_diagonal_symbol.diag": lambda v: st.apply_diagonal_symbol(_TENSOR, v),
@@ -115,6 +116,10 @@ _BAD = [
     ("laguerre_poly.p", True, st.DimensionError, "Laguerre order p"),
     ("laguerre_l.p", "a", st.DimensionError, "Laguerre order p"),
     ("laguerre_l.p", True, st.DimensionError, "Laguerre order p"),
+    # outside the domain [0, inf) of l_k^(p)
+    ("laguerre_l.sigma", -1.0, st.DimensionError, "sigma >= 0, got sigma=-1"),
+    ("laguerre_l.sigma", [0.5, -1e-300], st.DimensionError, "sigma >= 0"),
+    ("laguerre_l.sigma", -np.inf, st.DimensionError, "sigma"),
     ("TauFrame.slot", 2, st.DimensionError, "slot index"),
     ("TauFrame.slot", -1, st.DimensionError, "slot index"),
     ("TauFrame.slot", 1.5, st.DimensionError, "slot index"),

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from conftest import (
     kaplan_fundamental,
     random_skew_group,
     szego_at_zero_central,
+    szego_on_axis,
     szego_pass_loop,
 )
 
@@ -584,9 +584,9 @@ class TestSzego:
         np.testing.assert_allclose(v1, lam**-10 * v0, atol=1e-12)
 
     def test_pass_matches_loop_oracle(self, rng):
-        for k in (1, 2, 4, 12):
+        for k in (1, 2, 4, 12, 20):
             y, s = rng.standard_normal(4), 0.5 * rng.standard_normal(3)
-            for level in (20, 56):
+            for level in (20, 56, 80):
                 got, nodes = kernels._szego_pass(k, y, s, level)
                 want, want_nodes = szego_pass_loop(k, y, s, level)
                 assert nodes == want_nodes
@@ -605,7 +605,7 @@ class TestSzego:
                 assert np.abs(mat @ d.e1).max() <= 1e-12 * lam_max
 
     def test_failure_reports_finite_delta(self):
-        # near the central axis, |y|^2/|s| = 0.09 < 0.41 (ROADMAP defect 1)
+        # near the central axis, |y|^2/|s| = 0.09 < 0.30 (ROADMAP item 5)
         with pytest.raises(st.QuadratureError, match="last delta") as info:
             st.szego_kernel(1, [0.3, 0, 0, 0], [1.0, 0, 0])
         assert np.isfinite(float(str(info.value).rsplit(" ", 1)[-1]))
@@ -625,18 +625,54 @@ class TestSzego:
         last = np.abs(kernels._szego_pass(1, y, s, level)[0]).max()
         assert rel == pytest.approx(delta / last, rel=2e-3)
 
-    def test_levels_above_the_work_budget_refused(self, capsys):
-        budget, work = kernels._SZEGO_WORK_BUDGET, kernels._szego_work
-        served = max(k for k in range(1, 200) if work(k) <= budget)
-        assert served == 58  # the bound README and ROADMAP give
-        for k in (served + 1, 150, kernels.MAX_LEVEL):
-            start = time.perf_counter()
-            with pytest.raises(st.DimensionError, match=f"k = {k} exceeds") as info:
-                st.szego_kernel(k, [1.0, 0, 0, 0], [0.1, 0, 0])
-            assert f"largest level served is k = {served}" in str(info.value)
-            assert run(["szego", f"--k={k}", "--y=1,0,0,0", "--s=0.1,0,0"]) == 1
-            assert f"largest level served is k = {served}" in capsys.readouterr().err
-            assert time.perf_counter() - start < 1.0
+    def test_levels_past_58_are_served(self, capsys):
+        # k = 59 was the first level a work budget refused
+        y = [1.0, 0.2, 0.0, 0.3]
+        res = st.szego_kernel(59, y, [0.0, 0, 0])
+        want = szego_at_zero_central(59, y)
+        assert np.abs(res.value - want).max() <= 1e-12 * np.abs(want).max()
+        level = kernels._szego_level(59, 1)  # two passes
+        assert res.nodes_used == (3 * level // 2) * (3 * level)
+        assert run(["szego", "--k=59", "--y=1,0,0,0", "--s=0.1,0,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 59
+
+    def test_value_on_the_axis_matches_the_mpmath_oracle(self):
+        # s = (s0, 0, 0) at |y|^2/|s| = 2 and 0.6, against 1-D integrals
+        y = np.array([0.3, 0.5, -0.7, 0.2])
+        for k in (1, 4, 20):
+            for ratio, sign in ((2.0, 1.0), (0.6, -1.0)):
+                s0 = sign * float(y @ y) / ratio
+                want = szego_on_axis(k, y, s0)
+                got = st.szego_kernel(k, y, [s0, 0.0, 0.0]).value
+                assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_converges_near_the_edge(self, rng):
+        # |y|^2/|s| in [0.32, 0.45], random directions: each call converges
+        # and agrees with a pass at level 200 (the polar nodes must resolve
+        # both the power's singularity and the null vector's norm)
+        for _ in range(8):
+            k, ratio = int(rng.integers(1, 5)), rng.uniform(0.32, 0.45)
+            y, s = rng.standard_normal(4), rng.standard_normal(3)
+            y *= np.sqrt(ratio) / np.linalg.norm(y)
+            s /= np.linalg.norm(s)
+            got = st.szego_kernel(k, y, s).value
+            want = kernels._szego_pass(k, y, s, 200)[0]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_value_outside_the_float_range_is_its_own_error(self, capsys):
+        # |y|^2 underflows to 0, so the power overflows at every node; the
+        # message must not read as non-convergence ("last delta nan")
+        with pytest.raises(st.QuadratureError, match="outside the float range"):
+            st.szego_kernel(1, [1e-200, 0, 0, 0], [0.0, 0, 0])
+        with pytest.raises(st.QuadratureError, match="outside the float range"):
+            st.fundamental_solution(st.heisenberg(1), [1e-200, 0.0], [0.0])
+        for argv in (
+            ["szego", "--k=1", "--y=1e-200,0,0,0", "--s=0,0,0"],
+            ["fundamental", "--group=preset:heisenberg-1", "--point=1e-200,0,0"],
+        ):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert "outside the float range" in err and "nan" not in err
 
     def test_value_at_zero_central_every_level(self):
         for k in (1, 2, 3, 4, 8, 12, 13, 14, 16, 32):
@@ -645,31 +681,26 @@ class TestSzego:
                 got = st.szego_kernel(k, y, [0.0, 0, 0]).value
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_one_sphere_rule_per_pass(self, monkeypatch):
-        y, s = [0.5, 0.2, -0.3, 0.1], [0.0, 0, 0]
+    def test_block_size_does_not_matter(self, monkeypatch):
+        y, s = [0.5, 0.2, -0.3, 0.1], [0.05, -0.1, 0.08]
         monkeypatch.setattr(kernels, "_REFINEMENTS", 1)
-        whole = st.szego_kernel(2, y, s)
-        calls, rule = [], kernels.sphere_rule
-
-        def counted(r, level):
-            calls.append(level)
-            return rule(r, level)
-
-        monkeypatch.setattr(kernels, "sphere_rule", counted)
-        monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", 3 * 100)
-        chunked = st.szego_kernel(2, y, s)
-        assert calls == [20, 32]
-        assert np.abs(chunked.value - whole.value).max() <= 1e-14 * np.abs(whole.value).max()
+        whole = st.szego_kernel(4, y, s)
+        # a few polar nodes per block, and one when a node alone costs more
+        for elements in (3 * (25 + 60), 1):
+            monkeypatch.setattr(st.spectral, "_CHUNK_ELEMENTS", elements)
+            chunked = st.szego_kernel(4, y, s)
+            assert chunked.nodes_used == whole.nodes_used
+            assert np.abs(chunked.value - whole.value).max() <= 1e-14 * np.abs(whole.value).max()
 
     def test_first_level_follows_k(self, monkeypatch):
-        calls, rule = [], kernels.sphere_rule
+        levels, one_pass = [], kernels._szego_pass
 
-        def counted(r, level):
-            calls.append(level)
-            return rule(r, level)
+        def counted(k, y, s, level):
+            levels.append(level)
+            return one_pass(k, y, s, level)
 
-        monkeypatch.setattr(kernels, "sphere_rule", counted)
+        monkeypatch.setattr(kernels, "_szego_pass", counted)
         for k, first in ((1, 20), (5, 20), (6, 24), (9, 36)):
-            calls.clear()
+            levels.clear()
             st.szego_kernel(k, [1.0, 0.2, 0.0, 0.3], [0.0, 0, 0])
-            assert calls == [first + 12 * i for i in range(len(calls))]
+            assert levels == [first + 12 * i for i in range(len(levels))]

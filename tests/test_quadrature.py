@@ -5,6 +5,7 @@ import steptwo as st
 from steptwo.quadrature import (
     _leggauss,
     gauss_legendre,
+    polished_gauss_legendre,
     radial_nodes,
     sphere_rule,
     x_coth,
@@ -27,6 +28,19 @@ def test_gauss_legendre_reuses_the_same_nodes():
         assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
         assert all(g.flags.writeable for g in got)
     assert not any(a.flags.writeable for a in _leggauss(37))
+
+
+def test_polished_weights_hold_at_the_ends():
+    # ((1 + x) / 2)^m, m < 2n, integrates to 2 / (m + 1) and weighs the
+    # nodes near x = 1, where numpy's leggauss weights drift (by 3e-12 of
+    # this integral at n = 402 and 7e-11 at n = 1200)
+    for n in (30, 402, 1200):
+        x, w = polished_gauss_legendre(n)
+        assert x.tobytes() == _leggauss(n)[0].tobytes()
+        assert not w.flags.writeable
+        for m in (0, n, 2 * n - 1):
+            assert w @ ((1.0 + x) / 2.0) ** m == pytest.approx(2.0 / (m + 1), rel=2e-13)
+        np.testing.assert_allclose(w, w[::-1], rtol=1e-13)
 
 
 @pytest.mark.parametrize("r,measure", [(1, 2.0), (2, 2 * np.pi), (3, 4 * np.pi)])
