@@ -19,7 +19,7 @@ from scipy.special import eval_chebyu
 
 from .errors import DegenerateTauError, DimensionError, QuadratureError
 from .groups import checked_int, finite_array, positive_number, quaternionic_heisenberg
-from .quadrature import polished_gauss_legendre, radial_nodes, sphere_rule, x_coth, x_over_sinh
+from .quadrature import _leggauss, radial_nodes, sphere_rule, x_coth, x_over_sinh
 from .spectral import DEGENERACY_RTOL, _blocks, _checked_spectrum, _plane_energies
 
 # Refinement schedules.  Each kernel runs a first pass and at most
@@ -370,7 +370,7 @@ def _szego_pass(k, y, s, level):
     3 level / 2 >= 6k Gauss-Legendre nodes x leave about e^(-12 pi).  Polar
     nodes run in blocks (einsum, not BLAS: the sum order is thread-count free).
     """
-    x, wx = polished_gauss_legendre(3 * level // 2)
+    x, wx = _leggauss(3 * level // 2)
     n_phi = 3 * level
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     c = np.sqrt(1.0 - x**2)

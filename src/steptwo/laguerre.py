@@ -19,15 +19,22 @@ from .errors import DimensionError
 from .groups import checked_int, finite_array, positive_number
 
 
-def laguerre_poly(k, p, sigma):
-    """Generalized Laguerre polynomial L_k^(p) by upward three-term recurrence.
-
-    Stable for the desk-scale degrees used here (k up to a few hundred).
-    Vectorized over sigma; raises where the value overflows.
-    """
+def _checked_order(k, p):
+    """The radial index k, an integer >= 0, and the real order p >= 0."""
     k = checked_int(k, "Laguerre index k", 0)
     if finite_array(p, "Laguerre order p").ndim or p < 0:
         raise DimensionError(f"the Laguerre order p must be a number >= 0, got {p!r}")
+    return k, p
+
+
+def laguerre_poly(k, p, sigma):
+    """Generalized Laguerre polynomial L_k^(p) by upward three-term recurrence.
+
+    Vectorized over sigma; raises where the value overflows, which inside
+    the oscillatory region sigma < 4k + 2p + 2 starts near k = 355 (the
+    normalized ``laguerre_l`` does not overflow).
+    """
+    k, p = _checked_order(k, p)
     sigma = finite_array(sigma, "sigma")
     prev = np.ones_like(sigma)
     if k == 0:
@@ -45,61 +52,99 @@ def laguerre_poly(k, p, sigma):
     return cur
 
 
-def _log_sigma(sigma):
-    """log(sigma) where sigma > 0 and 0 elsewhere, for ``_weight``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(np.where(sigma > 0, sigma, 1.0))
+def _laguerre_rows(q, top, sigma, log_sigma):
+    """Yield l_k^(q)(sigma) for k = 0..top, given log_sigma = log sigma.
 
-
-def _weight(k, p, sigma, log_sigma):
-    """The factor that turns L_k^(p) into l_k^(p), given ``_log_sigma(sigma)``."""
-    log_ratio = 0.5 * (gammaln(k + 1) - gammaln(k + p + 1))
-    weight = np.exp(log_ratio + 0.5 * p * log_sigma - 0.5 * sigma)
-    if p > 0:
-        weight = np.where(sigma > 0.0, weight, 0.0)
-    return weight
+    One upward run from l_0 = sigma^(q/2) e^(-sigma/2) / sqrt(Gamma(q+1)) of
+    the recurrence of the normalized functions in its difference form,
+    d_k = (u_(k-1) - sigma l_(k-1)) / k, u_k = sqrt(k(k+q)) d_k, u_0 = q l_0,
+    l_k = sqrt(k/(k+q)) (l_(k-1) + d_k), which unlike the three-term form
+    cancels nothing at small sigma (that is 3e-12 off at k = 500, sigma = 1e-3).
+    The rows are of order 1, but l_0 underflows where later rows do not, so
+    a point whose l_0 is below 2^-500 carries a binary exponent s, a
+    multiple of 500 toward zero, and the iterates hold 2^-s times their
+    values.  A step grows the largest row by at most
+    (sigma + 3 top + 2q + 1) / k, so where l_0 lies below 2^-1075 by more
+    than top steps grow, every row reads 0.
+    """
+    log_start = 0.5 * (q * log_sigma - sigma - gammaln(q + 1)) if q else -0.5 * sigma
+    low = log_start < -500 * np.log(2.0)
+    if low.any():
+        growth = top * np.log(sigma.max() + 3 * top + 2 * q + 1) - gammaln(top + 1)
+        low &= log_start >= -1075 * np.log(2.0) - growth
+    scaled = low.any()  # otherwise no exponent is carried: the common case
+    if scaled:
+        exponent = np.trunc(np.where(low, log_start, 0.0) / (500 * np.log(2.0)))
+        exponent = 500 * exponent.astype(int)
+        log_start -= exponent * np.log(2.0)
+    cur = np.exp(log_start)
+    push = q * cur
+    for k in range(top + 1):
+        if k:
+            diff = push - sigma * cur
+            diff /= k
+            push = np.sqrt(k * (k + q)) * diff
+            diff += cur
+            cur = np.sqrt(k / (k + q)) * diff
+        if scaled:  # s grows by 500 as the iterate passes 2^500
+            shrink = np.where(np.abs(cur) > 2.0**500, 2.0**-500, 1.0)
+            cur, push = cur * shrink, push * shrink
+            exponent = exponent + 500 * (shrink < 1)
+        yield np.ldexp(cur, exponent) if scaled else cur
 
 
 def laguerre_l(k, p, sigma):
     """Normalized Laguerre function l_k^(p), orthonormal on [0, inf) for fixed p.
 
-    The Gamma-ratio prefactor is taken in log space and the weight
-    sigma^(p/2) e^(-sigma/2) as a single exponential, so moderate k + p
-    cannot overflow.  At sigma = 0 the weight is 1 for p = 0 and 0 for p > 0.
-    A sigma < 0 is outside the domain and raises.
+    It is sqrt(k! / Gamma(k+p+1)) sigma^(p/2) e^(-sigma/2) L_k^(p)(sigma), but
+    comes from ``_laguerre_rows``, not from L_k^(p), so it overflows at no k,
+    and a value below the float range reads 0.  At sigma = 0 it is 1 for
+    p = 0 and 0 for p > 0.  A sigma < 0 is outside the domain and raises.
     """
-    poly = laguerre_poly(k, p, sigma)  # checks k, p and sigma
+    k, p = _checked_order(k, p)
     sigma = finite_array(sigma, "sigma")
     if np.any(sigma < 0):
         raise DimensionError(
             f"laguerre_l needs sigma >= 0, got sigma={sigma[sigma < 0].flat[0]:.6g}"
         )
-    return poly * _weight(k, p, sigma, _log_sigma(sigma))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: l_0 = 0 for p > 0
+        log_sigma = np.log(sigma)
+    for last in _laguerre_rows(p, k, sigma, log_sigma):
+        pass
+    return last
 
 
 def _phase_powers(y, r2, top):
-    """e^(i q theta) at points y of shape (..., 2), with r2 = |y|^2, for
-    q = 0..top: powers of (y_0 + i y_1) / |y|, 1 at the origin.  Each
-    coordinate of that unit vector is one real division; no complex exp."""
+    """|y| and e^(i q theta) for q = 0..top at points y of shape (..., 2),
+    given r2 = |y|^2: powers of (y_0 + i y_1) / |y|, 1 at the origin.  Each
+    coordinate of that unit vector is one real division; no complex exp.
+    Where r2 lost digits or overflowed, |y| is ``np.hypot``'s, only there
+    because it costs as much as 40 squares; past the float range it reads
+    as the largest float."""
+    rho = np.asarray(np.sqrt(r2))
+    odd = (r2 < 1e-290) | (r2 > 1e290)
+    with np.errstate(over="ignore"):
+        hyp = np.hypot(y[..., 0][odd], y[..., 1][odd])
+        rho[odd] = np.minimum(hyp, np.finfo(float).max)
     phases = [1 + 0j]
     if top:
         unit = np.empty(y.shape)  # C order: (re, im) pairs read as complex
         with np.errstate(invalid="ignore"):  # 0 / 0 at the origin
-            np.divide(y, np.sqrt(r2)[..., None], out=unit)
+            np.divide(y, rho[..., None], out=unit)
         unit = unit.view(complex)[..., 0]
-        unit[r2 == 0] = 1.0
+        unit[rho == 0] = 1.0
         phases.append(unit)
         for _ in range(top - 1):
             phases.append(phases[-1] * unit)
-    return phases
+    return rho, phases
 
 
 def _plane_blocks(indices, y, tau_mag):
     """The 2-d block of each (k, p) in ``indices`` at points y, shape (..., 2).
 
-    Yields one array per index.  |y|^2 and log sigma are computed once per
-    call, the radial function once per distinct (k, |p|) and e^(i p theta)
-    once per |p| >= 1 by ``_phase_powers``, conjugated for negative p.
+    Yields one array per index.  Per |p|, one ``_laguerre_rows`` run gives
+    every k asked for, from log sigma = log(2 tau) + 2 log |y| with |y| from
+    ``_phase_powers``, and e^(i |p| theta) comes once, conjugated for p < 0.
     """
     tau_mag = positive_number(tau_mag, "tau_mag")
     y = finite_array(y, "points", (..., 2))
@@ -107,22 +152,21 @@ def _plane_blocks(indices, y, tau_mag):
         (checked_int(k, "Laguerre index k", 0), checked_int(p, "angular index p"))
         for k, p in indices
     ]
-    r2 = y[..., 0] ** 2 + y[..., 1] ** 2
-    sigma = 2.0 * tau_mag * r2
-    phases = _phase_powers(y, r2, max((abs(p) for _, p in indices), default=0))
-    log_sigma = None
-    radials = {}
+    tops = dict(sorted((abs(p), k) for k, p in indices))  # the largest k per |p|
+    # |y|^2 and sigma past the float range read as the largest float, where
+    # every l is 0; log 0 = -inf gives l_0 = 0 for |p| > 0
+    with np.errstate(over="ignore", divide="ignore"):
+        r2 = y[..., 0] ** 2 + y[..., 1] ** 2
+        sigma = np.minimum(2.0 * tau_mag * r2, np.finfo(float).max)
+        rho, phases = _phase_powers(y, r2, max(tops, default=0))
+        log_sigma = np.log(2.0 * tau_mag) + 2.0 * np.log(rho)
+    rows = {q: list(_laguerre_rows(q, top, sigma, log_sigma)) for q, top in tops.items()}
     for k, p in indices:
         q = abs(p)
-        if (k, q) not in radials:
-            poly = laguerre_poly(k, q, sigma)  # checks sigma
-            if log_sigma is None:
-                log_sigma = _log_sigma(sigma)
-            radials[k, q] = poly * _weight(k, q, sigma, log_sigma)
         phase = phases[q] if p >= 0 else phases[q].conj()
         # (sgn p)^p with sgn 0 = +1, so the factor is 1 unless p < 0 and odd
         sign = -1.0 if (p < 0 and p % 2 != 0) else 1.0
-        yield (2.0 * tau_mag / np.pi) * sign * radials[k, q] * phase
+        yield (2.0 * tau_mag / np.pi) * sign * rows[q][k] * phase
 
 
 def exp_laguerre_2d(k, p, y, tau_mag):

@@ -19,34 +19,22 @@ from .groups import finite_array
 @functools.lru_cache(maxsize=32)
 def _leggauss(count):
     """Gauss-Legendre nodes and weights on (-1, 1), read-only and cached:
-    numpy's ``leggauss`` solves an eigenproblem on every call, which costs
-    more than a whole radial pass, and the refinement passes of every
-    kernel call ask for the same few counts."""
-    x, w = np.polynomial.legendre.leggauss(count)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@functools.lru_cache(maxsize=8)
-def polished_gauss_legendre(count):
-    """Gauss-Legendre nodes and weights on (-1, 1), the weights right to
-    rounding at any count.
-
-    numpy's ``leggauss`` weights drift near the ends of the interval, by
-    about count^2 eps of the largest weight (2e-10 of it at 3066 nodes).
-    Here P_(n-1) and P_n come from the three-term recurrence at numpy's
-    nodes x; the weight 2 / ((1 - x^2) P_n'(x)^2) is taken there and
-    carried to the root x + d, d = -P_n / P_n', by its logarithmic
-    derivative -2x / (1 - x^2) at a root.  The recurrence costs count^2.
+    numpy's ``leggauss`` solves an eigenproblem on every call, and the
+    passes of every kernel call ask for the same few counts.  Its weights
+    drift near x = +-1 by about count^2 eps of the largest, so only its
+    nodes x are kept.  P_(n-1) and P_n come from the three-term recurrence
+    at x (count^2 work), and the weight 2 / ((1 - x^2) P_n'(x)^2) taken
+    there is carried to the root x + d, d = -P_n / P_n', by its logarithmic
+    derivative -2x / (1 - x^2).
     """
-    x, _ = _leggauss(count)
-    p0, p1 = np.ones_like(x), x.copy()  # P_(m-1) and P_m at the nodes
+    x, _ = np.polynomial.legendre.leggauss(count)
+    p0, p1 = np.ones_like(x), x  # P_(m-1) and P_m at the nodes
     for m in range(2, count + 1):
         p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
     side = 1.0 - x * x
     dp = count * (p0 - x * p1) / side
     w = 2.0 / (side * dp * dp) * (1.0 + 2.0 * x * p1 / (dp * side))
+    x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 

@@ -19,7 +19,7 @@ from steptwo.fields import (
     lattice_points,
 )
 from steptwo.kernels import SZEGO_CONSTANT, _fs_resolution, _refine
-from steptwo.quadrature import polished_gauss_legendre, radial_nodes, sphere_rule, x_coth, x_over_sinh
+from steptwo.quadrature import _leggauss, radial_nodes, sphere_rule, x_coth, x_over_sinh
 from steptwo.selftest import _series_laguerre as laguerre_series_oracle  # noqa: F401
 from steptwo.spectral import DEGENERACY_RTOL, _checked_spectrum, _plane_energies
 
@@ -439,7 +439,7 @@ def szego_pass_loop(k, y, s, level):
     The nodes are a product rule about e_0, tau_hat = (x, sqrt(1 - x^2)
     cos phi, sqrt(1 - x^2) sin phi): 3 level / 2 Gauss-Legendre x times
     3 level uniform phi."""
-    x, wx = polished_gauss_legendre(3 * level // 2)
+    x, wx = _leggauss(3 * level // 2)
     phi = 2.0 * np.pi * np.arange(3 * level) / (3 * level)
     side = np.sqrt(1.0 - x**2)[:, None]
     pts = np.stack(np.broadcast_arrays(x[:, None], side * np.cos(phi), side * np.sin(phi)), axis=-1)

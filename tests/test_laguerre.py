@@ -68,12 +68,17 @@ class TestPolynomials:
     def test_overflow_is_an_error_not_nan(self, h1):
         # L_3^(2) near sigma = 1e200 overflows past the float range; the
         # error names the indices and the first sigma it failed at
-        for fn in (st.laguerre_poly, st.laguerre_l):
-            with pytest.raises(st.DimensionError, match="k=3, p=2, sigma=1e\\+200"):
-                fn(3, 2, [1.0, 1e200])
+        with pytest.raises(st.DimensionError, match="k=3, p=2, sigma=1e\\+200"):
+            st.laguerre_poly(3, 2, [1.0, 1e200])
+        # the normalized function never forms the polynomial, so it is
+        # finite wherever sigma is, and 0 where it is below the float range
+        # (no RuntimeWarning either: pyproject makes one an error)
+        got = st.laguerre_l(3, 2, [1.0, 1e200, 1.7e308])
+        assert got[0] == pytest.approx(st.laguerre_poly(3, 2, 1.0) * np.exp(-0.5) / np.sqrt(20))
+        assert got[1:].tolist() == [0.0, 0.0]
         fr = st.normalize(h1, [1.0])
-        with pytest.raises(st.DimensionError, match="overflows"):
-            st.exp_laguerre(fr, st.raw_index((3,), (2,)), [[1e100, 0.0]])
+        for y in ([1e100, 0.0], [1e300, -1e300]):
+            assert st.exp_laguerre(fr, st.raw_index((3,), (2,)), [y]).tolist() == [0j]
 
 
 class TestNormalizedFunctions:
@@ -100,6 +105,39 @@ class TestNormalizedFunctions:
         assert np.isfinite(val)
         # naive Gamma-ratio route would overflow float64
         assert abs(val) < 1.0
+
+    def test_matches_mpmath_to_high_order(self, rng):
+        # absolute bound inside the oscillatory region sigma < 4k + 2q + 2,
+        # where the function has zeros; relative beyond it while |l| > 1e-200
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(k, q, sigma):
+            with mpmath.workdps(30):
+                sigma = mpmath.mpf(float(sigma))
+                return (
+                    mpmath.sqrt(mpmath.factorial(k) / mpmath.gamma(k + q + 1))
+                    * sigma ** (mpmath.mpf(q) / 2)
+                    * mpmath.exp(-sigma / 2)
+                    * mpmath.laguerre(k, q, sigma)
+                )
+
+        for k in (0, 1, 7, 40, 150, 360, 500):
+            for q in (0, 1, 5, 40):
+                turn = 4 * k + 2 * q + 2
+                sigma = np.concatenate(
+                    [[0.0, 1e-6, 1e-3, turn], rng.uniform(0.0, 6 * k + 10, 12)]
+                )
+                for s, got in zip(sigma, st.laguerre_l(k, q, sigma)):
+                    want = exact(k, q, s)
+                    if s < turn:
+                        bound = 1e-13
+                    else:
+                        bound = 1e-12 * abs(want) if abs(want) > 1e-200 else 1e-200
+                    assert abs(got - want) <= bound, (k, q, s)
+        # inside the oscillatory region, where L_360 overflows; and below
+        # the float range (3e-725)
+        assert abs(st.laguerre_l(360, 0, 1440.0) - exact(360, 0, 1440)) <= 1e-13
+        assert st.laguerre_l(200, 0, 5000.0) == 0.0
 
     def test_origin_limit(self):
         assert st.laguerre_l(3, 0, 0.0) == pytest.approx(1.0)
@@ -142,16 +180,29 @@ class TestPlanarBasis:
         y = np.concatenate([
             rng.standard_normal((20000, 2)),
             1e-5 * rng.standard_normal((2000, 2)),
-            [[0.0, 0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, -2.0], [3e-150, 4e-150]],
+            [[0.0, 0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, -2.0], [3e-150, 4e-150],
+             [3e-160, 4e-160]],
         ])
-        r2 = y[:, 0] ** 2 + y[:, 1] ** 2
+        r2 = y[:, 0] ** 2 + y[:, 1] ** 2  # subnormal at the last probe
         ext = y.astype(np.longdouble)
         theta = np.arctan2(ext[:, 1], ext[:, 0])
-        phases = _phase_powers(y, r2, 10)
+        rho, phases = _phase_powers(y, r2, 10)
+        np.testing.assert_allclose(rho, np.hypot(y[:, 0], y[:, 1]), rtol=5e-16)
         assert len(phases) == 11
         for q, phase in enumerate(phases):
             want = np.exp(1j * q * theta)
             assert np.abs(phase - want).max() <= 4e-16 * q, q
+
+    def test_block_near_the_origin_keeps_its_digits(self):
+        # |y|^2 = 2.5e-319 is subnormal, but |y| is never squared first:
+        # l_0^(1)(sigma) = sqrt(sigma) e^(-sigma/2), so the |p| = 1 block is
+        # (2 tau / pi) sqrt(2 tau) (y_0 + i y_1) to within e^(-tau |y|^2) = 1
+        tau = 1.3
+        y = np.array([3e-160, 4e-160])
+        want = (2 * tau / np.pi) * np.sqrt(2 * tau) * (3e-160 + 4e-160j)
+        got = st.exp_laguerre_2d(0, 1, y, tau)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert st.exp_laguerre_2d(0, -1, y, tau) == pytest.approx(-np.conj(want), rel=1e-13)
 
     def test_origin_values(self):
         origin = np.zeros(2)
